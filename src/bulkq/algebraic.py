@@ -29,6 +29,7 @@ __all__ = [
     "BranchValues",
     "StarGeometry",
     "solve_branches",
+    "dominant_roots",
     "branch_points",
     "star_geometry",
     "boundary_values",
@@ -125,6 +126,42 @@ def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
             )
     roots.sort(key=_sort_key)
     return BranchValues(z=complex(z), omega=tuple(roots))
+
+
+def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
+    """The largest-modulus branch at every point of ``zs``, in one batch.
+
+    The largest companion eigenvalue, two Newton steps and the residual
+    check of :func:`solve_branches`.  Polynomial values are carried divided
+    by ``max(1, |w|)**m``, so even a huge ``|z|`` cannot overflow.
+
+    Raises
+    ------
+    RootSolveFailure
+        If a polished root misses the residual target.
+    """
+    m, c = cfg.m, cfg.c
+    zs = np.asarray(zs, dtype=complex)
+    comp = np.zeros(zs.shape + (m + 1, m + 1), dtype=complex)
+    comp[..., 0, 0] = zs
+    comp[..., 0, m] = -c
+    comp[..., np.arange(1, m + 1), np.arange(m)] = 1.0
+    w = np.linalg.eigvals(comp)
+    w = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)[..., 0]
+    for step in range(3):  # two Newton steps, then the residual
+        a = np.maximum(1.0, np.abs(w))
+        v = w / a
+        pw = (a * v - zs) * v**m + c * a**-m
+        if step < 2:
+            dpw = ((m + 1) * v - m * zs / a) * v ** (m - 1)
+            w = w - np.divide(pw, dpw, out=np.zeros_like(pw), where=dpw != 0)
+    rel = np.abs(pw) / a / (1.0 + np.abs(zs))
+    if np.any(rel > EPS_ROOT):
+        k = np.unravel_index(np.argmax(rel), rel.shape)
+        raise RootSolveFailure(
+            f"root residual {rel[k]:.3e} above target at z={zs[k]}, c={c}, m={m}"
+        )
+    return w
 
 
 def branch_points(cfg: AlgebraicConfig) -> list[tuple[complex, complex]]:

@@ -40,6 +40,7 @@ from .polynomials import (
 )
 from .spectral import markov_residual, sigma_apply, star_quadrature
 from .transition import (
+    STATE_CAP,
     TransitionQuery,
     decay_rate,
     honesty_check,
@@ -47,7 +48,6 @@ from .transition import (
     transition_spectral,
 )
 
-STATE_CAP = 64
 _THREAD_LIMITER = None  # keeps a threadpoolctl limiter alive for the process
 
 

@@ -60,7 +60,7 @@ class TruncationNotConverged(BulkqError, ArithmeticError):
 
 
 class QuadratureNotConverged(BulkqError, ArithmeticError):
-    """Panel refinement did not stabilize the integral."""
+    """A contour integral did not stabilize, or its contour misses a singularity."""
 
 
 class TailNotControlled(BulkqError, ArithmeticError):

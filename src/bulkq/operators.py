@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
-from scipy.linalg import solve_banded
 
 from .algebraic import AlgebraicConfig
 from .errors import InsideSupport, TruncationNotConverged, TruncationTooSmall
@@ -256,6 +255,7 @@ def _resolvent_once(spec: OperatorSpec, j: int, z: complex, N: int) -> complex:
     ab[1 + m, : N - m] = -e
     rhs = np.zeros(N, dtype=complex)
     rhs[j - 1] = 1.0
+    from scipy.linalg import solve_banded  # deferred: scipy is heavy to import
     sol = solve_banded((m, 1), ab, rhs)
     return complex(sol[0])
 

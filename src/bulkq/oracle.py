@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse, special
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import QueueParams, build_generator, validate_params
@@ -32,6 +32,11 @@ from .transition import (
     fitted_decay_rate,
     transition_spectral,
 )
+
+# scipy is imported where it is used: loading it costs about 25 MB and a
+# fifth of a second, which the spectral engine and most commands never need
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "PicardState",
@@ -61,6 +66,7 @@ DECAY_REL = 0.15
 
 def _substochastic(p: QueueParams, N: int) -> sparse.csr_matrix:
     """S = I + A/q with q = lam + mu (nonnegative, rows sum to <= 1)."""
+    from scipy import sparse
     a = np.array(build_generator(p, N).entries)
     return sparse.csr_matrix(np.eye(N) + a / (p.lam + p.mu))
 
@@ -82,6 +88,7 @@ def expm_uniformization(
         If N violates the drift precondition, or the leak target is still
         missed at the cap.
     """
+    from scipy.special import gammaln
     validate_params(p)
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -99,7 +106,7 @@ def expm_uniformization(
             out = np.eye(N)
         else:
             ks = np.arange(_poisson_quantile(a, tol) + 1)
-            w = np.exp(-a + ks * math.log(a) - special.gammaln(ks + 1))
+            w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
             s_mat = _substochastic(p, N)
             term = np.eye(N)
             out = w[0] * term
@@ -159,6 +166,8 @@ def picard_solve(
     IterationBudgetExceeded
         If ``tol`` is given and K fails the tail certificate.
     """
+    from scipy import sparse
+    from scipy.special import gammaln
     validate_params(p)
     if not 0 <= n < N:
         raise ValueError(f"need 0 <= n < N, got n={n}, N={N}")
@@ -183,7 +192,7 @@ def picard_solve(
         y = y + g
         sups.append(float(np.max(np.abs(g))))
         bounds.append(
-            0.0 if a == 0.0 else float(np.exp(k * math.log(a) - special.gammaln(k + 1)))
+            0.0 if a == 0.0 else float(np.exp(k * math.log(a) - gammaln(k + 1)))
         )
     return PicardState(
         N=N,
@@ -318,6 +327,7 @@ def cross_validate(
     at criticality, where the rate is 0 — that assertion is skipped.
     An empty grid passes vacuously.
     """
+    from scipy import sparse
     validate_params(p)
     pts = [(int(n), int(r), float(t)) for (n, r, t) in grid]
     if not pts:

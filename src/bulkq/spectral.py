@@ -14,8 +14,9 @@ spectrum of the shifted operator frame.  Three layers:
   the reduced polynomials, spread over the arms, with classical
   second-kind-over-derivative weights.
 
-The tube machinery at the bottom is shared with the transition-probability
-module, which pairs the same contour data against polynomial tables.
+The tube machinery at the bottom serves ``sigma_apply`` and ``bulkq
+validate``; the transition module integrates resolvent rows on Talbot's
+contour instead and borrows only the poles and residues of ``_atoms``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .algebraic import AlgebraicConfig, boundary_values, solve_branches, star_geometry
+from .algebraic import (
+    AlgebraicConfig, boundary_values, dominant_roots, solve_branches, star_geometry,
+)
 from .errors import (
     InsideSupport,
     QuadratureNotConverged,
@@ -213,12 +216,7 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
 
 
 # --------------------------------------------------------------------------
-# tube contour around the star (shared with the transition module)
-
-
-def _dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
-    """Dominant branch at each point of ``zs`` (loop over the solver)."""
-    return np.array([solve_branches(cfg, complex(z)).omega[0] for z in zs])
+# tube contour around the star
 
 
 @lru_cache(maxsize=64)
@@ -296,7 +294,7 @@ def _fhat_block(p: QueueParams, zs: np.ndarray) -> np.ndarray:
     m, mu = p.m, p.mu
     c = p.mu * p.lam**m
     cfg = AlgebraicConfig(c=c, m=m)
-    w0 = _dominant_roots(cfg, zs)
+    w0 = dominant_roots(cfg, zs)
     r = _division_rows(m, c, zs, w0)
     wv = zs - mu
     pw = wv[None, :] ** np.arange(m + 1)[:, None]

@@ -1,31 +1,28 @@
 """Transient transition probabilities of the queue.
 
-The engine evaluates P_{n,r}(t) by pairing the birth polynomial family
-against the dual vectors and the spectral functionals: a contour integral
-of ``e^{x t} Q_n(x) sum_j lam^j q_{j,r}(x) fhat_{j+1}`` over a thin tube
-around the spectral star, plus residue atoms for the resolvent poles the
-tube leaves outside.  The tube data comes from the spectral module and is
-independent of (n, r, t), so rows, columns and time grids share one pack.
-
-On top of the point engine sit the classic sanity functionals: honesty
-(row sums), the Chapman-Kolmogorov chain rule, and the spectral decay rate
-with a late-window fit of the transient part.
+P_{n,r}(t) inverts the Laplace transform of the resolvent entry on Talbot's
+contour (Weideman & Trefethen, Math. Comp. 76, 2007).  One banded solve per
+node gives a whole resolvent row, whose tail past the requested states is
+exactly a power of the dominant branch; point queries, row sums and the
+chain rule share that evaluator.  It refuses a time at which a pole or arm
+that matters lies outside the contour (m = 12 at t = 50, say); m <= 6 is
+tested up to t = 100.  On top sit honesty (row sums), the chain rule, and
+the decay rate with a late-window fit of the transient part.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
-from .algebraic import AlgebraicConfig, star_geometry
+from .algebraic import AlgebraicConfig, dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
 from .model import QueueParams, validate_params
-from .spectral import BASE_PANELS, GL_ORDER, _atoms, _tube_pack, _TubePack
+from .polynomials import dual_vector, q_poly
+from .spectral import _atoms
 
 __all__ = [
     "TransitionQuery",
@@ -37,7 +34,7 @@ __all__ = [
     "fitted_decay_rate",
 ]
 
-#: stabilisation target for the panel-doubling ladder
+#: largest accepted rule gap, and largest weight of a singularity left outside
 TRANS_TOL = 1e-9
 #: analytic probabilities may poke this far outside [0, 1]
 EPS_NEG = 1e-7
@@ -46,7 +43,26 @@ STATE_CAP = 64
 #: Poisson tail budget for honesty / chain-rule cutoffs
 TAIL_TOL = 1e-8
 
+#: Talbot nodes per time, and the denser rule on the same curve whose gap is
+#: the error estimate.  A coarser rule on its own, narrower curve would not
+#: do: at (1.5, 0.2, 6) and t = 10, 32 nodes err by 5e-6 where 48 give 4e-11.
+NODES = 48
+NODES_CHECK = 64
+#: Weideman-Trefethen contour s(th) = (NODES/t)(A th cot(B th) - C + i D th)
+_TALBOT_A, _TALBOT_B, _TALBOT_C, _TALBOT_D = 0.5017, 0.6407, 0.6122, 0.2645
+_T_MIN = 1e-290  # shorter times overflow the node scale NODES / t
+
 _METHODS = ("spectral", "uniformization", "picard", "montecarlo")
+
+
+def _check_args(states, times) -> None:
+    """Raise ValueError unless states are integers >= 0 and times finite and >= 0."""
+    for label, k in states:
+        if not (k >= 0 and float(k).is_integer()):
+            raise ValueError(f"{label} must be an integer >= 0, got {k}")
+    for label, t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"{label} must be finite and >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -66,16 +82,11 @@ class TransitionQuery:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for label, k in (("n", self.n), ("r", self.r)):
-            if int(k) != k or k < 0:
-                raise ValueError(f"{label} must be an integer >= 0, got {k}")
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
+        _check_args([("n", self.n), ("r", self.r)], [("times", t) for t in ts])
         if not ts:
             raise ValueError("need at least one evaluation time")
-        for t in ts:
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"times must be finite and >= 0, got {t}")
         if any(b < a for a, b in zip(ts, ts[1:])):
             raise ValueError(f"times must be ascending, got {ts}")
 
@@ -118,150 +129,139 @@ def decay_rate(p: QueueParams) -> float:
 
 
 # --------------------------------------------------------------------------
-# polynomial value streams (vectorized recurrences, O(m) history)
+# Talbot contour and the resolvent-row solve
 
 
-def _poly_stream(p: QueueParams, x: np.ndarray, nmax: int) -> Iterator[np.ndarray]:
-    """Yield values Q_n(x) for n = 0..nmax on the sample array ``x``."""
-    lam, mu, m = p.lam, p.mu, p.m
-    base = (lam + x) / lam
-    hist: list[np.ndarray] = []
-    for n in range(nmax + 1):
-        if n == 0:
-            v = np.ones_like(x)
-        elif n <= m:
-            v = base**n
-        else:
-            v = ((lam + mu + x) * hist[-1] - mu * hist[-(m + 1)]) / lam
-        hist.append(v)
-        if len(hist) > m + 1:
-            hist.pop(0)
-        yield v
+def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-half nodes and weights of the K-node midpoint rule at time t.
+
+    The curve is the one tuned for ``NODES`` nodes whatever K is, so two
+    rules differ by discretisation alone.  For F real on the real axis the
+    inverse transform is ``Im(sum(weights * F(nodes)))``.
+    """
+    th = (np.arange(K // 2) + 0.5) * (2.0 * math.pi / K)
+    b = _TALBOT_B * th
+    s = (NODES / t) * (_TALBOT_A * th / np.tan(b) - _TALBOT_C + 1j * _TALBOT_D * th)
+    ds = (NODES / t) * (_TALBOT_A * (1.0 / np.tan(b) - b / np.sin(b) ** 2) + 1j * _TALBOT_D)
+    return s, (2.0 / K) * np.exp(s * t) * ds
 
 
-def _dual_stream(p: QueueParams, x: np.ndarray, rmax: int) -> Iterator[np.ndarray]:
-    """Yield the m-vector values q_r(x) for r = 0..rmax."""
-    lam, mu, m = p.lam, p.mu, p.m
-    hist: list[np.ndarray] = []
-    for r in range(rmax + 1):
-        if r < m:
-            v = np.zeros((m,) + x.shape, dtype=complex)
-            v[r] = 1.0
-        else:
-            head = r - m
-            rate = (lam + x) if head < m else (lam + mu + x)
-            prev = hist[-(m + 1)] if head >= 1 else 0.0
-            v = (rate * hist[-m] - lam * prev) / mu
-        hist.append(v)
-        if len(hist) > m + 1:
-            hist.pop(0)
-        yield v
+def _guard(p: QueueParams, t: float) -> None:
+    """Refuse t if a pole or arm point of weight above TRANS_TOL escapes the curve.
 
-
-def _last(stream: Iterable[np.ndarray]) -> np.ndarray:
-    for v in stream:
-        pass
-    return v
-
-
-# --------------------------------------------------------------------------
-# tube contractions
-
-
-def _pair_eval(
-    p: QueueParams, pack: _TubePack, n: int, r: int, times: np.ndarray
-) -> np.ndarray:
-    """P_{n,r}(t) for each t from one tube pack (real array)."""
-    shift = p.lam + p.mu
-    x = pack.z - shift
-    qn = _last(_poly_stream(p, x, n))
-    dr = _last(_dual_stream(p, x, r))
-    scale = p.lam ** np.arange(p.m)
-    core = qn * np.einsum("j,jk,jk->k", scale, dr, pack.fhat) * pack.w / (2j * math.pi)
-    vals = np.exp(np.multiply.outer(times, x)) @ core
-    for zp, res in pack.atoms:
-        xp = np.array([zp - shift])
-        lump = _last(_poly_stream(p, xp, n))[0] * np.sum(
-            scale * res * _last(_dual_stream(p, xp, r))[:, 0]
+    The weight of x is ``e^{t Re x}``.  x is inside when it lies left of the
+    curve at height |Im x|; above the end of the arc it is outside.
+    """
+    if t < _T_MIN:
+        raise QuadratureNotConverged(f"t={t:g} is below {_T_MIN:g}, where the contour overflows")
+    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A"))
+    arms = np.multiply.outer(geo.rotation ** np.arange(geo.arm_count), np.linspace(0, 1, 65))
+    poles = [zp for zp, _ in _atoms(p, 0.0)]
+    x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel()]) - p.lam - p.mu
+    weight = np.exp(t * x.real)
+    th = np.clip(np.abs(x.imag) * t / (_TALBOT_D * NODES), 1e-12, math.pi)
+    edge = (NODES / t) * (_TALBOT_A * th / np.tan(_TALBOT_B * th) - _TALBOT_C)
+    escaped = ((th >= math.pi) | (x.real >= edge)) & (weight > TRANS_TOL)
+    if np.any(escaped):
+        k = int(np.argmax(np.where(escaped, weight, 0.0)))
+        raise QuadratureNotConverged(
+            f"at t={t:g} the singular point x={complex(x[k]):.6g} lies outside the "
+            f"Talbot contour with weight e^(t Re x) = {weight[k]:.2e} above {TRANS_TOL:.0e}"
         )
-        vals = vals + lump * np.exp(xp[0] * times)
-    return vals.real
 
 
-def _row_eval(p: QueueParams, pack: _TubePack, n: int, rmax: int, t: float) -> np.ndarray:
-    """The row slice (P_{n,0}(t), ..., P_{n,rmax}(t)) from one pack."""
-    if t == 0.0:
-        out = np.zeros(rmax + 1)
-        if n <= rmax:
-            out[n] = 1.0
-        return out
-    shift = p.lam + p.mu
-    x = pack.z - shift
-    scale = p.lam ** np.arange(p.m)
-    probe = np.exp(x * t) * _last(_poly_stream(p, x, n)) * pack.w / (2j * math.pi)
-    weighted = scale[:, None] * pack.fhat * probe
-    # atoms walk their own dual streams in lockstep with the tube one
-    atom = []
-    for zp, res in pack.atoms:
-        xp = np.array([zp - shift])
-        head = cmath.exp((zp - shift) * t) * _last(_poly_stream(p, xp, n))[0]
-        atom.append((head * scale * res, _dual_stream(p, xp, rmax)))
-    out = np.empty(rmax + 1)
-    for r, dr in enumerate(_dual_stream(p, x, rmax)):
-        v = np.sum(dr * weighted)
-        for lump, duals in atom:
-            v = v + np.sum(lump * next(duals)[:, 0])
-        out[r] = v.real
-    return out
+@lru_cache(maxsize=256)
+def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guarded contour data at one time, cached: callers must not mutate it.
+
+    Nodes of both rules side by side, one weight row per rule (zero on the
+    other rule's nodes), and the dominant root at every node.
+    """
+    _guard(p, t)
+    (s0, w0), (s1, w1) = _talbot(NODES, t), _talbot(NODES_CHECK, t)
+    s = np.concatenate([s0, s1])
+    cfg = AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A")
+    weights = np.stack([np.r_[w0, 0 * w1], np.r_[0 * w0, w1]])
+    return s, weights, dominant_roots(cfg, (s + p.lam + p.mu) / p.lam)
 
 
-def _col_eval(p: QueueParams, pack: _TubePack, nmax: int, r: int, t: float) -> np.ndarray:
-    """The column slice (P_{0,r}(t), ..., P_{nmax,r}(t)) from one pack."""
-    if t == 0.0:
-        out = np.zeros(nmax + 1)
-        if r <= nmax:
-            out[r] = 1.0
-        return out
-    shift = p.lam + p.mu
-    x = pack.z - shift
-    scale = p.lam ** np.arange(p.m)
-    dr = _last(_dual_stream(p, x, r))
-    core = (
-        np.exp(x * t)
-        * np.einsum("j,jk,jk->k", scale, dr, pack.fhat)
-        * pack.w
-        / (2j * math.pi)
-    )
-    atom = []
-    for zp, res in pack.atoms:
-        xp = np.array([zp - shift])
-        mass = np.sum(scale * res * _last(_dual_stream(p, xp, r))[:, 0])
-        atom.append((mass * cmath.exp((zp - shift) * t), _poly_stream(p, xp, nmax)))
-    out = np.empty(nmax + 1)
-    for k, qk in enumerate(_poly_stream(p, x, nmax)):
-        v = np.sum(qk * core)
-        for lump, polys in atom:
-            v = v + lump * next(polys)[0]
-        out[k] = v.real
-    return out
+def _resolvent_rows(
+    p: QueueParams, starts: np.ndarray, J: int, s: np.ndarray, omega: np.ndarray
+) -> np.ndarray:
+    """Entries 0..J-1 of the resolvent rows ``n in starts`` at every node.
+
+    Solves ``(s - A)^T y = e_n``.  Beyond J-1 the row is exactly
+    ``y_{J-1} omega**-(r-J+1)``, which folds into column J-1 and leaves a
+    band with one diagonal below and m above, eliminated without pivoting.
+    Needs ``m <= J`` and starts below J; the shape is (J, starts, nodes).
+    """
+    lam, mu, m = p.lam, p.mu, p.m
+    band = np.zeros((J, m + 1, s.size), dtype=complex)  # band[r, d] multiplies y[r + d]
+    band[:, 0] = s + lam + mu
+    band[:m, 0] -= mu
+    band[: J - m, m] = -mu
+    for r in range(J - m, J):
+        band[r, J - 1 - r] -= mu * (1.0 / omega) ** (r + m - J + 1)
+    y = np.zeros((J, len(starts), s.size), dtype=complex)
+    y[starts, np.arange(len(starts))] = 1.0
+    for k in range(J - 1):
+        f = lam / band[k, 0]
+        band[k + 1, :m] += f * band[k, 1:]
+        y[k + 1] += f * y[k]
+    for k in range(J - 1, -1, -1):
+        top = min(m, J - 1 - k)
+        if top:
+            y[k] -= np.sum(band[k, 1 : top + 1, None] * y[k + 1 : k + top + 1], axis=0)
+        y[k] /= band[k, 0]
+    return y
+
+
+def _transition_block(
+    p: QueueParams, starts, rmax: int, times, tol: float = TRANS_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_{n,r}(t) and error estimates for n in ``starts``, r <= rmax, each time.
+
+    Arrays of shape (len(starts), rmax + 1, len(times)).  Time zero is exact,
+    P(0) = I; otherwise the value is the ``NODES``-node integral of the
+    resolvent row and the error its gap to the ``NODES_CHECK``-node one,
+    which must stay within ``tol`` (relative, floored at scale 1), or
+    ``QuadratureNotConverged`` is raised, as it is when :func:`_guard` is.
+    """
+    starts = np.asarray(list(starts), dtype=int)
+    times = np.asarray(times, dtype=float)
+    eye = starts[:, None, None] == np.arange(rmax + 1)[:, None]
+    vals = np.broadcast_to(eye, (starts.size, rmax + 1, times.size)).astype(float)
+    errs = np.zeros_like(vals)
+    live = np.flatnonzero(times > 0.0)
+    if live.size:
+        s, weights, omega = (np.stack(col) for col in zip(*(_nodes(p, times[k]) for k in live)))
+        J = max(int(starts.max()) + 1, rmax + 1, p.m)
+        y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())[: rmax + 1]
+        est = np.einsum("rakn,kqn->qark", y.reshape(y.shape[:2] + s.shape), weights).imag
+        gap = np.abs(est[0] - est[1])
+        bad = np.argwhere(gap > tol * np.maximum(1.0, np.abs(est[0])))
+        if bad.size:
+            i, r, k = bad[0]
+            raise QuadratureNotConverged(
+                f"P_({starts[i]},{r})(t={times[live[k]]:g}): the {NODES}- and "
+                f"{NODES_CHECK}-node Talbot rules differ by {gap[i, r, k]:.2e}"
+            )
+        vals[:, :, live], errs[:, :, live] = est[0], gap
+    return vals, errs
 
 
 def _pole_lumps(p: QueueParams, n: int, r: int) -> list[tuple[complex, complex]]:
-    """Every active resolvent pole with its P_{n,r} residue mass.
+    """Every active resolvent pole x with its P_{n,r} mass.
 
-    Unlike the tube atoms this keeps poles that sit inside the tube: the
-    decay fit must subtract all exponential modes, wherever the contour
-    happens to run.
+    The mass is ``Q_n(x) sum_j lam^j res_j q_{j,r}(x)``, ``res`` the residues
+    of the closed-form resolvent; the decay fit subtracts every such mode.
     """
-    shift = p.lam + p.mu
-    scale = p.lam ** np.arange(p.m)
+    qn, dual = q_poly(p, n), dual_vector(p, r)
     out = []
     for zp, res in _atoms(p, 0.0):
-        xp = np.array([zp - shift])
-        mass = _last(_poly_stream(p, xp, n))[0] * np.sum(
-            scale * res * _last(_dual_stream(p, xp, r))[:, 0]
-        )
-        out.append((zp - shift, complex(mass)))
+        x = zp - p.lam - p.mu
+        mass = qn(x) * sum(p.lam**j * res[j] * dual.components[j](x) for j in range(p.m))
+        out.append((x, complex(mass)))
     return out
 
 
@@ -274,15 +274,16 @@ def transition_spectral(
 ) -> TransitionResult:
     """Evaluate P_{n,r}(t) at each query time by the spectral formula.
 
-    Times equal to zero are answered exactly from P(0) = I.  For the rest,
-    tube panels are doubled until two successive evaluations of the whole
-    time vector agree to ``tol`` (relative, floored at scale 1); the last
-    doubling gap is reported per time as the error estimate.
+    Times equal to zero are answered exactly from P(0) = I; the rest
+    integrate the resolvent row of n on Talbot's contour.  The gap between
+    the 48- and 64-node rules is the error estimate and must stay within
+    ``tol`` (relative, floored at scale 1).
 
     Raises
     ------
     QuadratureNotConverged
-        If the panel ladder is exhausted without stabilizing.
+        If a pole or arm that matters lies outside the contour at some
+        query time, or the two rules disagree.
     ValueError
         If a state index exceeds the desk-scale cap of 64.
     """
@@ -290,38 +291,20 @@ def transition_spectral(
     for label, k in (("n", q.n), ("r", q.r)):
         if k > STATE_CAP:
             raise ValueError(f"{label} must be <= {STATE_CAP}, got {k}")
-    times = np.asarray(q.times, dtype=float)
-    vals = np.full(times.shape, 1.0 if q.n == q.r else 0.0)
-    errs = np.zeros_like(vals)
-    live = times > 0.0
-    if np.any(live):
-        prev = None
-        for panels in (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS):
-            pack = _tube_pack(p, panels, GL_ORDER)
-            cur = _pair_eval(p, pack, q.n, q.r, times[live])
-            if prev is not None:
-                gap = np.abs(cur - prev)
-                if np.all(gap <= tol * np.maximum(1.0, np.abs(cur))):
-                    vals[live] = cur
-                    errs[live] = gap
-                    break
-            prev = cur
-        else:
-            raise QuadratureNotConverged(
-                f"P_({q.n},{q.r}) not stable after {4 * BASE_PANELS} panels"
-            )
+    vals, errs = _transition_block(p, [q.n], q.r, q.times, tol)
     return TransitionResult(
-        values=tuple(float(v) for v in vals),
+        values=tuple(float(v) for v in vals[0, q.r]),
         method="spectral",
-        error_estimate=tuple(float(e) for e in errs),
+        error_estimate=tuple(float(e) for e in errs[0, q.r]),
     )
 
 
 def _poisson_tail(k: int, a: float) -> float:
     """P[Poisson(a) > k] for integer k (1.0 when k < 0)."""
+    from scipy.special import gammainc  # deferred: scipy is heavy to import
     if k < 0:
         return 1.0
-    return float(special.gammainc(k + 1, a))
+    return float(gammainc(k + 1, a))
 
 
 def _poisson_quantile(a: float, tol: float) -> int:
@@ -343,11 +326,8 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
     the cutoff from n by time t is at most the Poisson tail
     ``P[Pois(lam t) > R - n]``; the cutoff must keep that below 1e-8.
 
-    Entries above the same quantile at budget 1e-9 are provably below
-    round-off relevance and are not evaluated: the spectral integrand for
-    P_{n,r} carries a recurrence mode growing like ``(lam/|omega_min|)^r``,
-    so summing blindly to a generous R would trade a negligible tail for
-    genuine cancellation noise.
+    Entries above the same quantile at budget 1e-9 are below round-off
+    relevance and are not evaluated.
 
     Raises
     ------
@@ -355,26 +335,15 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
         If the cutoff leaves too much probability above R.
     """
     validate_params(p)
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be an integer >= 0, got {n}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    _check_args([("n", n)], [("t", t)])
     tail = _poisson_tail(R - n, p.lam * t)
     if tail >= TAIL_TOL:
         raise TailNotControlled(
             f"Poisson tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff R={R}"
         )
-    if t == 0.0:
-        return 1.0
-    work = min(R, n + _poisson_quantile(p.lam * t, _WORK_TAIL) + 2)
-    prev = None
-    for panels in (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS):
-        pack = _tube_pack(p, panels, GL_ORDER)
-        val = float(np.sum(_row_eval(p, pack, n, work, t)))
-        if prev is not None and abs(val - prev) <= TRANS_TOL * max(1.0, abs(val)):
-            return val
-        prev = val
-    raise QuadratureNotConverged(f"honesty sum not stable after {4 * BASE_PANELS} panels")
+    work = int(min(R, n + _poisson_quantile(p.lam * t, _WORK_TAIL) + 2))
+    vals, _ = _transition_block(p, [n], work, (t,))
+    return float(np.sum(vals))
 
 
 def semigroup_check(
@@ -385,8 +354,7 @@ def semigroup_check(
     The intermediate-state cutoff must control the Poisson upcrossing tail
     ``P[Pois(lam s) > K - n] < 1e-8``.  As in :func:`honesty_check`, the
     sum is actually evaluated up to the 1e-9 quantile: the dropped terms
-    are bounded by that tail (each column factor is at most 1) while their
-    evaluation would be cancellation-dominated.
+    are bounded by that tail, each column factor being at most 1.
 
     Raises
     ------
@@ -394,34 +362,17 @@ def semigroup_check(
         If the cutoff leaves too much intermediate probability above K.
     """
     validate_params(p)
-    if min(n, r) < 0 or min(s, t) < 0:
-        raise ValueError("states and times must be >= 0")
+    _check_args([("n", n), ("r", r)], [("s", s), ("t", t)])
     tail = _poisson_tail(K - n, p.lam * s)
     if tail >= TAIL_TOL:
         raise TailNotControlled(
             f"intermediate tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff K={K}"
         )
-    work = min(K, n + _poisson_quantile(p.lam * s, _WORK_TAIL) + 2)
-    prev = None
-    for panels in (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS):
-        pack = _tube_pack(p, panels, GL_ORDER)
-        whole = (
-            1.0
-            if s + t == 0.0 and n == r
-            else 0.0
-            if s + t == 0.0
-            else float(_pair_eval(p, pack, n, r, np.array([s + t]))[0])
-        )
-        chain = float(_row_eval(p, pack, n, work, s) @ _col_eval(p, pack, work, r, t))
-        if prev is not None:
-            ok_whole = abs(whole - prev[0]) <= TRANS_TOL * max(1.0, abs(whole))
-            ok_chain = abs(chain - prev[1]) <= TRANS_TOL * max(1.0, abs(chain))
-            if ok_whole and ok_chain:
-                return abs(whole - chain)
-        prev = (whole, chain)
-    raise QuadratureNotConverged(
-        f"chain-rule pair not stable after {4 * BASE_PANELS} panels"
-    )
+    work = int(min(K, n + _poisson_quantile(p.lam * s, _WORK_TAIL) + 2))
+    row, _ = _transition_block(p, [n], max(work, r), (s, s + t))
+    block, _ = _transition_block(p, range(work + 1), r, (t,))
+    chain = row[0, : work + 1, 0] @ block[:, r, 0]
+    return abs(float(row[0, r, 1]) - float(chain))
 
 
 def fitted_decay_rate(

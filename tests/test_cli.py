@@ -112,15 +112,28 @@ def test_transition_rejects_out_of_cap_state(runner):
 
 
 def test_transition_reports_nonconvergence(runner):
-    # a far-tail single entry in the critical case defeats the panel
-    # ladder; the command must fail loudly, not print noise
+    # at m = 12 and t = 50 singular points of weight ~1e-3 lie outside the
+    # Talbot contour; the command must fail loudly, not print noise
     result = runner.invoke(
         main,
-        ["transition", "--lambda", "2", "--mu", "1", "--m", "2",
-         "--n", "0", "--r", "60", "--t", "0.1"],
+        ["transition", "--lambda", "1", "--mu", "0.08333333333333333", "--m", "12",
+         "--n", "0", "--r", "0", "--t", "50"],
     )
     assert result.exit_code == 1
     assert "converge" in result.output
+    assert "at t=50 the singular point x=" in result.output
+
+
+def test_transition_far_tail_critical_entry(runner):
+    # a far-tail entry in the critical case, where the panel ladder used to give up
+    result = runner.invoke(
+        main,
+        ["transition", "--lambda", "2", "--mu", "1", "--m", "2",
+         "--n", "0", "--r", "60", "--t", "0.1", "--with-oracle"],
+    )
+    assert result.exit_code == 0
+    (row,) = _rows(result.output)
+    assert float(row[-1]) <= ORACLE_TOL
 
 
 def test_transition_output_deterministic(tmp_path, runner):

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bulkq.errors import TailNotControlled
+from bulkq.errors import QuadratureNotConverged, TailNotControlled
 from bulkq.model import QueueParams, build_generator
+from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization
 from bulkq.transition import (
+    STATE_CAP,
     TransitionQuery,
     TransitionResult,
     decay_rate,
@@ -26,6 +28,14 @@ EXPM_N = 260  # truncation large enough that the compared entries are exact
 def expm_entry(p: QueueParams, n: int, r: int, t: float) -> float:
     a = np.array(build_generator(p, EXPM_N).entries)
     return float(scipy.linalg.expm(t * a)[n, r])
+
+
+def uniformization_rows(p: QueueParams, t: float) -> np.ndarray:
+    """Rows 0..STATE_CAP of P(t), exact to far below SPECTRAL_VS_EXPM."""
+    size = 64
+    while size < max(4 * (p.m + p.lam * t), 4 * STATE_CAP + 4):
+        size *= 2
+    return expm_uniformization(p, size, t, rows=STATE_CAP + 1)
 
 
 # ------------------------------------------------------------------ queries
@@ -151,6 +161,41 @@ def test_backward_equations_stencil():
         assert abs(d - rhs) <= 1e-4
 
 
+DOMAIN_STATES = range(0, STATE_CAP + 1, 8)
+DOMAIN_TIMES = (1e-8, 0.05, 1.0, 10.0, 100.0)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("rho", [0.5, 1.0, 1.5])
+def test_domain_matches_uniformization(m, rho):
+    # the advertised domain: states up to the cap, times from 1e-8 to 100,
+    # load on both sides of criticality
+    p = QueueParams(1.0, 1.0 / (m * rho), m)
+    mats = [uniformization_rows(p, t) for t in DOMAIN_TIMES]
+    for n in DOMAIN_STATES:
+        for r in DOMAIN_STATES:
+            got = transition_spectral(p, TransitionQuery(n, r, DOMAIN_TIMES)).values
+            for t, v, mat in zip(DOMAIN_TIMES, got, mats):
+                assert abs(v - mat[n, r]) <= SPECTRAL_VS_EXPM, (n, r, t)
+
+
+def test_small_index_query_at_m6():
+    # once raised QuadratureNotConverged at small indices and t <= 5
+    p = QueueParams(0.4194807697969937, 0.09708687480463145, 6)
+    times = (1.3970128931732142, 3.0654764524555786, 4.181671483021265)
+    got = transition_spectral(p, TransitionQuery(3, 5, times)).values
+    for t, v in zip(times, got):
+        assert abs(v - uniformization_rows(p, t)[3, 5]) <= SPECTRAL_VS_EXPM
+
+
+def test_pole_outside_contour_raises():
+    # at m = 12 and t = 50 a rotating-mode pole and arm points of weight ~1e-3
+    # lie outside the Talbot contour; ignoring them misses P_00 by 1.5e-6
+    p = QueueParams(1.0, 1.0 / 12, 12)
+    with pytest.raises(QuadratureNotConverged, match="outside the Talbot contour"):
+        transition_spectral(p, TransitionQuery(0, 0, (50.0,)))
+
+
 def test_nonnegativity_small_grid():
     p = QueueParams(1.0, 1.0, 2)
     for n in range(6):
@@ -185,6 +230,24 @@ def test_semigroup_identity_at_zero():
 def test_semigroup_examples():
     assert semigroup_check(QueueParams(1.0, 1.0, 1), 0, 1, 0.5, 0.5, 60) <= 1e-7
     assert semigroup_check(QueueParams(1.0, 2.0, 3), 2, 5, 0.3, 0.7, 100) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "n, r, s, t",
+    [
+        (0.5, 0, 0.3, 0.3),
+        (-1, 0, 0.3, 0.3),
+        (0, 2.5, 0.3, 0.3),
+        (0, -1, 0.3, 0.3),
+        (0, 0, math.nan, 0.3),
+        (0, 0, -0.1, 0.3),
+        (0, 0, 0.3, math.inf),
+        (0, 0, 0.3, -0.1),
+    ],
+)
+def test_semigroup_rejects_bad_arguments(n, r, s, t):
+    with pytest.raises(ValueError):
+        semigroup_check(QueueParams(1.0, 1.0, 1), n, r, s, t, 40)
 
 
 def test_semigroup_tail_guard():
