@@ -9,13 +9,7 @@ Picard iteration, and discrete-event simulation.
 from .algebraic import AlgebraicConfig, solve_branches, star_geometry
 from .errors import BulkqError
 from .model import GeneratorMatrix, QueueParams, build_generator, validate_params
-from .spectral import (
-    QuadratureRule,
-    SpectralFunctional,
-    WeightFunction,
-    sigma_apply,
-    star_quadrature,
-)
+from .spectral import QuadratureRule, sigma_apply, star_quadrature
 from .oracle import (
     CrossReport,
     McConfig,
@@ -47,10 +41,8 @@ __all__ = [
     "PicardState",
     "QuadratureRule",
     "QueueParams",
-    "SpectralFunctional",
     "TransitionQuery",
     "TransitionResult",
-    "WeightFunction",
     "build_generator",
     "cross_validate",
     "decay_rate",

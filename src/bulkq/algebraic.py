@@ -2,8 +2,9 @@
 
 The m+1 root functions of this one-parameter family drive everything
 spectral in the package: their moduli order selects the dominant branch,
-their branch points trace out an (m+1)-armed star, and their boundary values
-on the open arms supply the weight functions.
+their branch points trace out an (m+1)-armed star, and the jump of the
+dominant branch across an open arm gives the densities of the spectral
+measures.
 
 Two normalizations ("frames") occur:
 
@@ -30,13 +31,14 @@ __all__ = [
     "StarGeometry",
     "solve_branches",
     "dominant_roots",
-    "branch_points",
     "star_geometry",
     "boundary_values",
 ]
 
 #: residual target for polished roots, relative to the coefficient scale
 EPS_ROOT = 1e-12
+#: roots this close (relative) form a cluster that Newton steps cannot refine
+_CLUSTER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,15 +74,15 @@ class BranchValues:
 class StarGeometry:
     """The (m+1)-armed star that carries the spectral data.
 
-    ``arms are the segments [center, center + arm_length * rotation**k]``
-    for k = 0..m; ``center`` is 0 in the T-frame and -lam-mu after
-    undoing the A-frame rescaling.
+    The arms are the segments ``[0, arm_length * rotation**k]`` for
+    k = 0..m; their tips are the branch points, where the two largest
+    roots collide in the double root ``m/(m+1)`` times the tip.  In the
+    A-frame the generator's spectral variable is ``lam * zeta - lam - mu``.
     """
 
     arm_count: int
     arm_length: float
     rotation: complex
-    center: complex
 
 
 def _polish(z: complex, c: float, m: int, w: complex) -> complex:
@@ -95,7 +97,8 @@ def _polish(z: complex, c: float, m: int, w: complex) -> complex:
 
 
 def _sort_key(w: complex) -> tuple[float, float]:
-    return (-abs(w), cmath.phase(w))
+    # math.atan2, not cmath.phase: the latter raises on a subnormal angle
+    return (-abs(w), math.atan2(w.imag, w.real))
 
 
 def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
@@ -103,7 +106,9 @@ def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
 
     Roots come from the companion matrix (``numpy.roots``) followed by two
     Newton polish steps each, then are sorted by modulus descending with
-    argument-ascending tie-breaking.
+    argument-ascending tie-breaking.  A root within ``1e-6 * max(1, |w|)``
+    of another is left unpolished: near a double root (a branch point)
+    rounding in ``p(w)`` dominates the Newton step.
 
     Raises
     ------
@@ -116,7 +121,11 @@ def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
     coeffs[0] = 1.0
     coeffs[1] = -z
     coeffs[-1] = c
-    roots = [_polish(complex(z), c, m, complex(w)) for w in np.roots(coeffs)]
+    raw = [complex(w) for w in np.roots(coeffs)]
+    roots = []
+    for i, w in enumerate(raw):
+        gap = min(abs(w - v) for k, v in enumerate(raw) if k != i)
+        roots.append(w if gap <= _CLUSTER * max(1.0, abs(w)) else _polish(complex(z), c, m, w))
     for w in roots:
         res = abs(w ** (m + 1) - z * w**m + c)
         scale = (1.0 + abs(z)) * max(1.0, abs(w)) ** (m + 1)
@@ -164,30 +173,18 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     return w
 
 
-def branch_points(cfg: AlgebraicConfig) -> list[tuple[complex, complex]]:
-    """The m+1 points where the two largest branches collide.
-
-    Setting the w-derivative to zero alongside the equation itself gives
-    ``z_k = ((m+1)/m) * (m c)**(1/(m+1)) * e**(2 pi i k/(m+1))`` with the
-    double root ``w_k = (m c)**(1/(m+1)) * e**(2 pi i k/(m+1))``.
-    """
-    m, c = cfg.m, cfg.c
-    radius = (m * c) ** (1.0 / (m + 1))
-    out = []
-    for k in range(m + 1):
-        d = cmath.exp(2j * cmath.pi * k / (m + 1))
-        out.append((((m + 1) / m) * radius * d, radius * d))
-    return out
-
-
 def star_geometry(cfg: AlgebraicConfig) -> StarGeometry:
-    """Star with arms from the center to each branch point."""
+    """Star with arms from the origin to each branch point.
+
+    The only place the arm length ``((m+1)/m) (m c)**(1/(m+1))`` and the
+    arm directions ``rotation**k`` are computed; every other module takes
+    them from here.
+    """
     a = ((cfg.m + 1) / cfg.m) * (cfg.m * cfg.c) ** (1.0 / (cfg.m + 1))
     return StarGeometry(
         arm_count=cfg.m + 1,
         arm_length=a,
         rotation=cmath.exp(2j * cmath.pi / (cfg.m + 1)),
-        center=0.0 + 0.0j,
     )
 
 

@@ -6,7 +6,7 @@ The concrete cases are
 
 * ``A`` — the queue generator itself,
 * ``T`` — the monic normalization (superdiagonal 1, lower band ``c``),
-* ``L`` (= ``K``) — ``T`` plus ``mu`` on the first m diagonal entries,
+* ``L`` — ``T`` plus ``mu`` on the first m diagonal entries,
 * ``H`` — the four-parameter generic pattern covering all of the above.
 
 The module provides the basis-jump identities (each unit vector is the
@@ -29,14 +29,12 @@ from .polynomials import dual_vector, l_poly, q_poly, t_poly
 
 __all__ = [
     "OperatorSpec",
-    "MomentTable",
     "ResolventSample",
     "build_matrix",
     "basis_jump_check",
     "dual_jump_check",
     "biorthogonality_check",
     "moment",
-    "moment_table",
     "resolvent",
     "lambda_conjugation_residual",
 ]
@@ -46,8 +44,8 @@ __all__ = [
 class OperatorSpec:
     """Which operator, with which parameters, truncated at which size.
 
-    ``kind`` is one of ``"A"``, ``"T"``, ``"L"``, ``"K"``, ``"H"``.  The
-    queue kinds (``A``, ``L``, ``K``) carry :class:`QueueParams`; ``T``
+    ``kind`` is one of ``"A"``, ``"T"``, ``"L"``, ``"H"``.  The queue
+    kinds (``A``, ``L``) carry :class:`QueueParams`; ``T``
     carries an :class:`AlgebraicConfig` (only ``c`` and ``m`` matter); the
     generic ``H`` carries explicit band values (gamma, iota, eta, xi) plus
     a parameter object providing ``m``.
@@ -73,20 +71,12 @@ class OperatorSpec:
             return (p.lam, p.lam, p.mu, p.lam + p.mu)
         if self.kind == "T":
             return (0.0, 1.0, self.params.c, 0.0)
-        if self.kind in ("L", "K"):
+        if self.kind == "L":
             p = self.params
             return (-p.mu, 1.0, p.mu * p.lam**p.m, 0.0)
         if self.kind == "H":
             return (self.gamma, self.iota, self.eta, self.xi)
         raise ValueError(f"unknown operator kind {self.kind!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class MomentTable:
-    """Moments c_{nu,j} for nu = 0..nu_max, j = 1..m, one operator."""
-
-    tag: str
-    entries: np.ndarray  # shape (nu_max + 1, m)
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,7 @@ def _family_coeffs(spec: OperatorSpec, n: int) -> np.ndarray:
         return np.asarray(q_poly(spec.params, n).coeffs)
     if spec.kind == "T":
         return np.asarray(t_poly(spec.params, n).coeffs)
-    if spec.kind in ("L", "K"):
+    if spec.kind == "L":
         return np.asarray(l_poly(spec.params, n).coeffs)
     # generic H: initial (1/iota^n)(gamma + x)^n, then
     # (xi + x) H_n = iota H_{n+1} + eta H_{n-m}
@@ -218,23 +208,6 @@ def moment(spec: OperatorSpec, nu: int, j: int) -> float:
     for _ in range(nu):
         v = mat @ v
     return float(v[0])
-
-
-def moment_table(spec: OperatorSpec, nu_max: int) -> MomentTable:
-    """All moments up to ``nu_max`` for j = 1..m in one sweep."""
-    need = (nu_max + 1) * (spec.m + 1) + spec.m
-    if spec.N < need:
-        raise TruncationTooSmall(f"moment table needs N >= {need}, got {spec.N}")
-    mat = build_matrix(spec)
-    out = np.empty((nu_max + 1, spec.m))
-    for j in range(1, spec.m + 1):
-        v = np.zeros(spec.N)
-        v[j - 1] = 1.0
-        out[0, j - 1] = v[0]
-        for nu in range(1, nu_max + 1):
-            v = mat @ v
-            out[nu, j - 1] = v[0]
-    return MomentTable(tag=spec.kind, entries=out)
 
 
 def _support_discs(spec: OperatorSpec) -> list[tuple[complex, float]]:

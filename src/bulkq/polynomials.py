@@ -45,7 +45,6 @@ __all__ = [
     "h_poly",
     "second_kind",
     "h_zeros",
-    "shifted_power_expansion",
 ]
 
 #: threshold below which a closed-form denominator counts as singular
@@ -487,25 +486,3 @@ def h_zeros(cfg: AlgebraicConfig, n: int) -> np.ndarray:
     if np.max(res) > 1e-10 * scale * max(1.0, np.max(np.abs(roots)) ** d):
         raise ZeroFindingFailure(f"unpolished zero of h_{n}: residual {np.max(res):.3e}")
     return roots
-
-
-def shifted_power_expansion(p: QueueParams, n: int, k: int) -> dict[int, float]:
-    """Expand ``(x + lam + mu)**k * Q_n`` back into the ``Q`` family.
-
-    Returns the map ``g -> w_g`` with all weights nonnegative; one
-    application of the shift uses ``(x+lam+mu) Q_g = lam Q_{g+1} + mu Q_g``
-    below index m and the defining recurrence at or above it.
-    """
-    validate_params(p)
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be >= 0")
-    lam, mu, m = p.lam, p.mu, p.m
-    weights = {n: 1.0}
-    for _ in range(k):
-        nxt: dict[int, float] = {}
-        for g, w in weights.items():
-            nxt[g + 1] = nxt.get(g + 1, 0.0) + lam * w
-            target = g - m if g >= m else g
-            nxt[target] = nxt.get(target, 0.0) + mu * w
-        weights = nxt
-    return dict(sorted(weights.items()))

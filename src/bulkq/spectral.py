@@ -1,11 +1,13 @@
-"""Spectral data on the star: weights, linear functionals, quadrature.
+"""Spectral data on the star: jump densities, linear functionals, quadrature.
 
 Everything in this module lives on the (m+1)-armed star that carries the
-spectrum of the shifted operator frame.  Three layers:
+spectrum of the shifted operator frame; its arm length and directions come
+from :func:`~bulkq.algebraic.star_geometry`.  Three layers:
 
-* boundary weights -- the jump of (negative powers of) the dominant branch
-  across an open arm gives a family of real densities; the base one is a
-  probability density once summed over arms;
+* Markov representation -- the jump of ``omega_0**-j`` (the dominant
+  branch) across an open arm is a real density; summed over the arms the
+  one for j = 1 is a probability density, and the star integrals of these
+  densities reproduce ``omega_0**-j`` off the star (``markov_residual``);
 * spectral functionals ``sigma_j`` -- realised as contour integrals of the
   closed-form resolvent over a thin tube around the star, plus residue
   atoms at the resolvent poles that escape the tube.  This avoids ever
@@ -31,7 +33,8 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebraic import (
-    AlgebraicConfig, boundary_values, dominant_roots, solve_branches, star_geometry,
+    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, solve_branches,
+    star_geometry,
 )
 from .errors import (
     InsideSupport,
@@ -42,11 +45,7 @@ from .model import QueueParams, validate_params
 from .polynomials import h_poly, h_zeros
 
 __all__ = [
-    "WeightFunction",
-    "SpectralFunctional",
     "QuadratureRule",
-    "weight_rho",
-    "weight_rho_j",
     "markov_residual",
     "sigma_apply",
     "star_quadrature",
@@ -58,79 +57,6 @@ SIGMA_TOL = 1e-9
 MARKOV_TOL = 1e-10
 #: relative guard band around the star for Markov evaluation points
 SUPPORT_GUARD = 0.1
-
-
-# --------------------------------------------------------------------------
-# boundary weights
-
-
-def weight_rho(cfg: AlgebraicConfig, t: float) -> float:
-    """Base spectral weight at ``t`` on the open arm (0, a).
-
-    This is the boundary jump of the reciprocal dominant branch,
-    ``(1/2 pi i)(1/omega_minus - 1/omega_plus)``, which collapses to
-    ``Im(omega_plus) / (pi |omega_plus|**2)`` and is strictly positive on
-    the open arm.  Summed over all m+1 arms the weight has total mass 1.
-
-    Raises
-    ------
-    NotOnOpenArm
-        If ``t`` is not strictly inside (0, a).
-    NoConjugatePair
-        Propagated from the branch solve at degenerate points.
-    """
-    plus, minus = boundary_values(cfg, t)
-    val = (1.0 / minus - 1.0 / plus) / (2j * math.pi)
-    return float(val.real)
-
-
-def weight_rho_j(cfg: AlgebraicConfig, j: int, t: float) -> float:
-    """Symmetric boundary-branch combination for the index-j weight.
-
-    Returns ``sum_{k=0}^{j-1} omega_plus**-(j-1-k) * omega_minus**-k``,
-    which is real and positive on the open arm; the index-j spectral
-    density is this times :func:`weight_rho`, because the telescoping
-    ``x**-j - y**-j = (x**-1 - y**-1) sum x**-(j-1-k) y**-k`` turns the
-    product into the boundary jump of ``omega_0**-j``.
-
-    Requires ``2 <= j <= m`` (for j = 1 the combination is identically 1).
-    """
-    if not 2 <= j <= cfg.m:
-        raise ValueError(f"j must be in 2..{cfg.m}, got {j}")
-    plus, minus = boundary_values(cfg, t)
-    acc = 0j
-    for k in range(j):
-        acc += plus ** -(j - 1 - k) * minus**-k
-    return float(acc.real)
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """One member of the weight family on the arm (0, a).
-
-    ``j = 0`` is the base weight; ``j >= 1`` is the density paired with
-    the j-th spectral functional, i.e. the base weight times the index
-    ``j+1`` symmetric combination.  All members are positive on the open
-    arm, finite as t -> 0+ and vanish like a square root at the tip.
-    """
-
-    cfg: AlgebraicConfig
-    j: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.j <= self.cfg.m - 1:
-            raise ValueError(f"j must be in 0..{self.cfg.m - 1}, got {self.j}")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """The open arm (0, a) the density lives on."""
-        return (0.0, star_geometry(self.cfg).arm_length)
-
-    def __call__(self, t: float) -> float:
-        base = weight_rho(self.cfg, t)
-        if self.j == 0:
-            return base
-        return base * weight_rho_j(self.cfg, self.j + 1, t)
 
 
 # --------------------------------------------------------------------------
@@ -162,13 +88,12 @@ def _arm_density(cfg: AlgebraicConfig, j: int, panels: int, order: int):
     return t_all, w_all, dens
 
 
-def _dist_to_star(m: int, c: float, z: complex) -> float:
-    """Euclidean distance from z to the closed star (all m+1 arms)."""
-    a = ((m + 1) / m) * (m * c) ** (1.0 / (m + 1))
+def _dist_to_star(geo: StarGeometry, z: complex) -> float:
+    """Euclidean distance from z to the closed star (all arms)."""
     best = math.inf
-    for k in range(m + 1):
-        d = cmath.exp(2j * math.pi * k / (m + 1))
-        t = min(max((z * d.conjugate()).real, 0.0), a)
+    for k in range(geo.arm_count):
+        d = geo.rotation**k
+        t = min(max((z * d.conjugate()).real, 0.0), geo.arm_length)
         best = min(best, abs(z - t * d))
     return best
 
@@ -193,13 +118,13 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
     if not 1 <= j <= m:
         raise ValueError(f"j must be in 1..{m}, got {j}")
     z = complex(z)
-    a = star_geometry(cfg).arm_length
-    if _dist_to_star(m, cfg.c, z) <= SUPPORT_GUARD * a:
+    geo = star_geometry(cfg)
+    if _dist_to_star(geo, z) <= SUPPORT_GUARD * geo.arm_length:
         raise InsideSupport(
             f"z={z} is within {SUPPORT_GUARD:.0%} of the arm length from the star"
         )
     lhs = 1.0 / solve_branches(cfg, z).omega[0] ** j
-    rots = [cmath.exp(2j * math.pi * k / (m + 1)) for k in range(m + 1)]
+    rots = [geo.rotation**k for k in range(geo.arm_count)]
 
     prev = None
     for panels in (16, 32, 64, 128, 256, 512):
@@ -220,17 +145,18 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
 
 
 @lru_cache(maxsize=64)
-def _tube_nodes(m: int, c: float, eps: float, panels: int, order: int):
+def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
     """Counterclockwise boundary of the eps-tube around the star.
 
     Per arm: lower side outward, half-circle cap around the tip, upper
     side inward.  The sides start at ``tmin = eps / tan(theta/2)`` which
     places the junctions of consecutive arms exactly on the bisectors, so
-    the union is one closed curve enclosing the star (and its center).
+    the union is one closed curve enclosing the star (and the origin).
     Returns ``(nodes, dz * gauss_weight)``.
     """
-    a = ((m + 1) / m) * (m * c) ** (1.0 / (m + 1))
-    theta = 2 * math.pi / (m + 1)
+    geo = star_geometry(cfg)
+    a = geo.arm_length
+    theta = 2 * math.pi / geo.arm_count
     tmin = eps / math.tan(theta / 2)
     gx, gw = np.polynomial.legendre.leggauss(order)
     zs, ws = [], []
@@ -243,8 +169,8 @@ def _tube_nodes(m: int, c: float, eps: float, panels: int, order: int):
             zs.append(f(t))
             ws.append(df(t) * 0.5 * (bb - aa) * gw)
 
-    for k in range(m + 1):
-        d = cmath.exp(2j * math.pi * k / (m + 1))
+    for k in range(geo.arm_count):
+        d = geo.rotation**k
         seg(lambda t, d=d: (t - 1j * eps) * d, lambda t, d=d: d * np.ones_like(t), tmin, a, panels)
         seg(
             lambda al, d=d: a * d + eps * d * np.exp(1j * al),
@@ -259,13 +185,12 @@ def _tube_nodes(m: int, c: float, eps: float, panels: int, order: int):
 
 def _pick_eps(p: QueueParams) -> float:
     """Tube radius keeping every resolvent pole clearly off the curve."""
-    c = p.mu * p.lam**p.m
-    a = ((p.m + 1) / p.m) * (p.m * c) ** (1.0 / (p.m + 1))
-    eps = 0.08 * a
+    geo = star_geometry(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m))
+    eps = 0.08 * geo.arm_length
     for _ in range(3):
         for l in range(p.m):
             zp = p.mu + p.lam * cmath.exp(2j * math.pi * l / p.m)
-            d = _dist_to_star(p.m, c, zp)
+            d = _dist_to_star(geo, zp)
             if d / 1.4 < eps < d / 0.6:
                 eps = d / 1.4
     return eps
@@ -320,11 +245,12 @@ def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]
     m, lam, mu = p.m, p.lam, p.mu
     c = mu * lam**m
     cfg = AlgebraicConfig(c=c, m=m)
+    geo = star_geometry(cfg)
     out = []
     for l in range(m):
         zeta = cmath.exp(2j * math.pi * l / m)
         zp = mu + lam * zeta
-        if _dist_to_star(m, c, zp) <= eps:
+        if _dist_to_star(geo, zp) <= eps:
             continue
         w0 = solve_branches(cfg, zp).omega[0]
         lz = lam * zeta
@@ -352,9 +278,8 @@ class _TubePack:
 
 @lru_cache(maxsize=32)
 def _tube_pack(p: QueueParams, panels: int, order: int) -> _TubePack:
-    c = p.mu * p.lam**p.m
     eps = _pick_eps(p)
-    zs, ws = _tube_nodes(p.m, c, eps, panels, order)
+    zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m), eps, panels, order)
     return _TubePack(eps=eps, z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=_atoms(p, eps))
 
 
@@ -414,28 +339,6 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
         f"sigma_{j} not stable after {4 * BASE_PANELS} panels (last delta "
         f"{abs(val - prev):.2e})"
     )
-
-
-@dataclass(frozen=True)
-class SpectralFunctional:
-    """The j-th member of the functional family for one parameter set.
-
-    Continuous part: the index-j weight spread over the m+1 arms of the
-    (shifted) star.  Atomic part: finitely many point masses at the
-    resolvent poles; both are realised jointly by the tube contour of
-    :func:`sigma_apply`, which this object simply binds to (p, j).
-    """
-
-    p: QueueParams
-    j: int
-
-    def __post_init__(self) -> None:
-        validate_params(self.p)
-        if not 0 <= self.j <= self.p.m - 1:
-            raise ValueError(f"j must be in 0..{self.p.m - 1}, got {self.j}")
-
-    def __call__(self, f: Callable, *, tol: float = SIGMA_TOL) -> float:
-        return sigma_apply(self.p, self.j, f, tol=tol)
 
 
 # --------------------------------------------------------------------------
@@ -505,8 +408,8 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
             f"nonpositive quadrature weight at n={n} (zeros not resolved?)"
         )
     zeta = xs ** (1.0 / (m + 1))
-    rots = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
-    nodes = zeta[:, None] * rots[None, :]
+    geo = star_geometry(cfg)
+    nodes = zeta[:, None] * geo.rotation ** np.arange(geo.arm_count)[None, :]
     weights = np.repeat(lam_w[:, None], m + 1, axis=1)
     rule = QuadratureRule(
         cfg=cfg,

@@ -52,8 +52,6 @@ NODES_CHECK = 64
 _TALBOT_A, _TALBOT_B, _TALBOT_C, _TALBOT_D = 0.5017, 0.6407, 0.6122, 0.2645
 _T_MIN = 1e-290  # shorter times overflow the node scale NODES / t
 
-_METHODS = ("spectral", "uniformization", "picard", "montecarlo")
-
 
 def _check_args(states, times) -> None:
     """Raise ValueError unless states are integers >= 0 and times finite and >= 0."""
@@ -95,8 +93,7 @@ class TransitionQuery:
 class TransitionResult:
     """Per-time values of P_{n,r} with the engine tag and error estimates.
 
-    Analytic engines must land in [-1e-7, 1 + 1e-7]; Monte Carlo carries
-    sampling noise and is exempt from the range check.
+    The only tag is ``"spectral"``; values must land in [-1e-7, 1 + 1e-7].
     """
 
     values: tuple[float, ...]
@@ -104,14 +101,13 @@ class TransitionResult:
     error_estimate: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method != "spectral":
+            raise ValueError(f"method must be 'spectral', got {self.method!r}")
         if len(self.values) != len(self.error_estimate):
             raise ValueError("values and error_estimate must have equal length")
-        if self.method != "montecarlo":
-            for v in self.values:
-                if not -EPS_NEG <= v <= 1.0 + EPS_NEG:
-                    raise ValueError(f"analytic probability out of range: {v}")
+        for v in self.values:
+            if not -EPS_NEG <= v <= 1.0 + EPS_NEG:
+                raise ValueError(f"analytic probability out of range: {v}")
 
 
 def decay_rate(p: QueueParams) -> float:
@@ -333,9 +329,11 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
     ------
     TailNotControlled
         If the cutoff leaves too much probability above R.
+    ValueError
+        If n or R is not an integer >= 0, or t is not finite and >= 0.
     """
     validate_params(p)
-    _check_args([("n", n)], [("t", t)])
+    _check_args([("n", n), ("R", R)], [("t", t)])
     tail = _poisson_tail(R - n, p.lam * t)
     if tail >= TAIL_TOL:
         raise TailNotControlled(
@@ -360,9 +358,11 @@ def semigroup_check(
     ------
     TailNotControlled
         If the cutoff leaves too much intermediate probability above K.
+    ValueError
+        If n, r or K is not an integer >= 0, or s or t is not finite and >= 0.
     """
     validate_params(p)
-    _check_args([("n", n), ("r", r)], [("s", s), ("t", t)])
+    _check_args([("n", n), ("r", r), ("K", K)], [("s", s), ("t", t)])
     tail = _poisson_tail(K - n, p.lam * s)
     if tail >= TAIL_TOL:
         raise TailNotControlled(

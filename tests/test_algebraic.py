@@ -3,13 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bulkq.algebraic import (
     AlgebraicConfig,
     boundary_values,
-    branch_points,
     solve_branches,
     star_geometry,
 )
@@ -51,6 +50,8 @@ def test_dominant_branch_at_infinity():
     re=st.floats(-6.0, 6.0),
     im=st.floats(-6.0, 6.0),
 )
+@example(m=1, c=4.0, re=4.0, im=0.0)  # a branch point: a double root
+@example(m=1, c=1.0, re=3.0, im=5e-324)  # a subnormal root argument
 def test_vieta_and_ordering(m, c, re, im):
     z = complex(re, im)
     bv = solve_branches(AlgebraicConfig(c=c, m=m), z)
@@ -77,19 +78,27 @@ def test_rotation_symmetry_of_root_multiset(m, c, re, im):
 
 
 def test_branch_points_m1():
-    pts = branch_points(AlgebraicConfig(c=1.0, m=1))
-    np.testing.assert_allclose(pts[0][0], 2.0, atol=1e-14)
-    np.testing.assert_allclose(pts[0][1], 1.0, atol=1e-14)
-    np.testing.assert_allclose(pts[1][0], -2.0, atol=1e-14)
-    np.testing.assert_allclose(pts[1][1], -1.0, atol=1e-14)
+    # m = 1, c = 1: tips at z = +-2 with the double root w = +-1
+    cfg = AlgebraicConfig(c=1.0, m=1)
+    geo = star_geometry(cfg)
+    for k, (zk, wk) in enumerate([(2.0, 1.0), (-2.0, -1.0)]):
+        np.testing.assert_allclose(geo.arm_length * geo.rotation**k, zk, atol=1e-14)
+        for w in solve_branches(cfg, zk).omega:
+            assert abs(w - wk) <= 1e-6
 
 
 def test_branch_points_satisfy_equation_and_criticality():
+    # at each tip z_k the two largest branches collide, and the vanishing
+    # w-derivative puts the double root at (m+1) w_k = m z_k
     for m, c in [(1, 0.4), (2, 1.0), (3, 2.5), (4, 0.9)]:
-        for zk, wk in branch_points(AlgebraicConfig(c=c, m=m)):
+        cfg = AlgebraicConfig(c=c, m=m)
+        geo = star_geometry(cfg)
+        for k in range(geo.arm_count):
+            zk = geo.arm_length * geo.rotation**k
+            wk = m * zk / (m + 1)
             assert abs(wk ** (m + 1) - zk * wk**m + c) <= 1e-10 * max(1.0, abs(zk)) ** (m + 1)
-            # double-root condition reduces to (m+1) w = m z
-            assert abs((m + 1) * wk - m * zk) <= 1e-12 * abs(zk)
+            for w in solve_branches(cfg, zk).omega[:2]:
+                assert abs(w - wk) <= 1e-6 * abs(wk)
 
 
 def test_arm_length_m2():

@@ -3,9 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
-from numpy.polynomial import polynomial as P
 
-from bulkq.algebraic import AlgebraicConfig
+from bulkq.algebraic import AlgebraicConfig, star_geometry
 from bulkq.errors import NearSingularConfiguration
 from bulkq.model import QueueParams
 from bulkq.polynomials import (
@@ -18,7 +17,6 @@ from bulkq.polynomials import (
     q_explicit,
     q_poly,
     second_kind,
-    shifted_power_expansion,
     t_poly,
 )
 
@@ -362,7 +360,7 @@ def test_h_zeros_goldens():
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_h_zero_reality_positivity_interlacing(m):
     cfg = AlgebraicConfig(c=1.0, m=m)
-    a_pow = ((m + 1) / m * (m * 1.0) ** (1 / (m + 1))) ** (m + 1)
+    a_pow = star_geometry(cfg).arm_length ** (m + 1)
     prev = None
     for n in range(m + 1, 41):
         zs = h_zeros(cfg, n)
@@ -384,37 +382,6 @@ def test_h_zero_reality_positivity_interlacing(m):
                 for jj in range(len(prev)):
                     assert zs[jj] < prev[jj] < zs[jj + 1]
         prev = zs
-
-
-# ------------------------------------------------------- shift expansion
-
-
-def test_shift_expansion_trivial_and_golden():
-    p = QueueParams(1.0, 1.0, 1)
-    assert shifted_power_expansion(p, 3, 0) == {3: 1.0}
-    assert shifted_power_expansion(p, 1, 1) == {0: 1.0, 2: 1.0}
-
-
-def test_shift_expansion_one_step_above_m():
-    p = QueueParams(1.4, 0.9, 2)
-    assert shifted_power_expansion(p, 5, 1) == {3: p.mu, 6: p.lam}
-
-
-def test_shift_expansion_reconstruction():
-    rng = np.random.default_rng(3)
-    for _ in range(15):
-        p = QueueParams(rng.uniform(0.5, 2), rng.uniform(0.5, 2), int(rng.integers(1, 4)))
-        n, k = int(rng.integers(0, 8)), int(rng.integers(0, 5))
-        expansion = shifted_power_expansion(p, n, k)
-        assert all(w >= 0 for w in expansion.values())
-        target = np.asarray(q_poly(p, n).coeffs)
-        for _ in range(k):
-            target = P.polymul(target, [p.lam + p.mu, 1.0])
-        acc = np.zeros_like(target)
-        for g, w in expansion.items():
-            c = np.asarray(q_poly(p, g).coeffs)
-            acc[: len(c)] += w * c
-        np.testing.assert_allclose(acc, target, rtol=1e-10, atol=1e-12)
 
 
 if __name__ == "__main__":

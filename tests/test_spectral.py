@@ -4,21 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from bulkq.algebraic import AlgebraicConfig, boundary_values, solve_branches, star_geometry
-from bulkq.errors import InsideSupport, NotOnOpenArm
+from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
+from bulkq.errors import InsideSupport
 from bulkq.model import QueueParams
 from bulkq.operators import OperatorSpec, moment
 from bulkq.polynomials import dual_vector, q_poly
 from bulkq.spectral import (
     QuadratureRule,
-    SpectralFunctional,
-    WeightFunction,
     _arm_density,
     markov_residual,
     sigma_apply,
     star_quadrature,
-    weight_rho,
-    weight_rho_j,
 )
 
 MASS_TOL = 1e-8
@@ -26,26 +22,21 @@ MOMENT_TOL = 1e-7
 
 
 def test_weight_rho_frozen_point():
-    # m = 1, c = 1: w(t) = sqrt(4 - t^2)/(2 pi), so w(1) = sqrt(3)/(2 pi)
-    got = weight_rho(AlgebraicConfig(c=1.0, m=1), 1.0)
-    np.testing.assert_allclose(got, math.sqrt(3.0) / (2.0 * math.pi), rtol=1e-13)
+    # m = 1, c = 1: the semicircle w(t) = sqrt(4 - t^2)/(2 pi) at every node
+    ts, _, dens = _arm_density(AlgebraicConfig(c=1.0, m=1), 1, 16, 24)
+    np.testing.assert_allclose(dens, np.sqrt(4.0 - ts**2) / (2.0 * math.pi), rtol=0, atol=1e-14)
 
 
 def test_weight_rho_positive_inside_and_small_at_tip():
     for m, c in [(1, 1.0), (2, 1.0), (3, 0.7), (2, 2.3)]:
         cfg = AlgebraicConfig(c=c, m=m)
         a = star_geometry(cfg).arm_length
-        vals = [weight_rho(cfg, t) for t in np.linspace(1e-6, a * (1 - 1e-6), 41)]
-        assert min(vals) > 0.0
-        assert weight_rho(cfg, a * (1 - 1e-10)) < 1e-4
-
-
-def test_weight_rho_domain_errors():
-    cfg = AlgebraicConfig(c=1.0, m=2)
-    a = star_geometry(cfg).arm_length
-    for t in [0.0, -1.0, a, 2 * a]:
-        with pytest.raises(NotOnOpenArm):
-            weight_rho(cfg, t)
+        ts, _, dens = _arm_density(cfg, 1, 96, 24)
+        assert dens.min() > 0.0
+        # square-root vanishing at the tip: dens / sqrt(a - t) levels off
+        assert a - ts[-1] < 1e-5 and dens[-1] < 1e-3
+        edge = dens[-3:] / np.sqrt(a - ts[-3:])
+        np.testing.assert_allclose(edge, edge[-1], rtol=1e-4)
 
 
 def test_weight_total_mass_is_one_over_the_star():
@@ -56,39 +47,17 @@ def test_weight_total_mass_is_one_over_the_star():
         np.testing.assert_allclose((m + 1) * np.sum(dens * ws), 1.0, atol=MASS_TOL)
 
 
-def test_weight_rho_j_two_is_twice_real_part():
-    cfg = AlgebraicConfig(c=1.0, m=2)
-    for t in [0.3, 0.8, 1.4]:
-        plus, _ = boundary_values(cfg, t)
-        np.testing.assert_allclose(
-            weight_rho_j(cfg, 2, t), 2.0 * (1.0 / plus).real, rtol=1e-12
-        )
-
-
 def test_weight_rho_j_positive_and_index_domain():
+    # every index-j jump density, j = 1..m, is positive on the open arm;
+    # outside 1..m there is no index-j Markov representation
+    for m, c in [(1, 1.0), (2, 1.0), (3, 0.7), (4, 1.6)]:
+        cfg = AlgebraicConfig(c=c, m=m)
+        for j in range(1, m + 1):
+            assert np.all(_arm_density(cfg, j, 16, 24)[2] > 0.0)
     cfg = AlgebraicConfig(c=0.7, m=3)
-    a = star_geometry(cfg).arm_length
-    for j in (2, 3):
-        assert min(weight_rho_j(cfg, j, t) for t in np.linspace(0.05 * a, 0.95 * a, 19)) > 0
-    for j in (0, 1, 4):
+    for j in (0, 4):
         with pytest.raises(ValueError):
-            weight_rho_j(cfg, j, 0.5 * a)
-
-
-def test_weight_function_members_and_validation():
-    cfg = AlgebraicConfig(c=1.0, m=2)
-    base = WeightFunction(cfg)
-    paired = WeightFunction(cfg, 1)
-    t = 0.6
-    np.testing.assert_allclose(base(t), weight_rho(cfg, t), rtol=1e-14)
-    np.testing.assert_allclose(
-        paired(t), weight_rho(cfg, t) * weight_rho_j(cfg, 2, t), rtol=1e-14
-    )
-    assert paired(1e-8) > 0  # finite (and positive) toward the origin
-    lo, hi = base.support
-    assert lo == 0.0 and hi == star_geometry(cfg).arm_length
-    with pytest.raises(ValueError):
-        WeightFunction(cfg, 2)
+            markov_residual(cfg, j, 5.0)
 
 
 def test_markov_residual_frozen_examples():
@@ -202,12 +171,12 @@ def test_sigma_scalar_callable_fallback():
 
 def test_spectral_functional_binding_and_validation():
     p = QueueParams(1.0, 1.0, 2)
-    sf = SpectralFunctional(p, 1)
-    np.testing.assert_allclose(sf(lambda x: x), moment(OperatorSpec("A", p, 40), 1, 2), atol=1e-8)
-    with pytest.raises(ValueError):
-        SpectralFunctional(p, 2)
-    with pytest.raises(ValueError):
-        sigma_apply(p, -1, lambda x: x)
+    np.testing.assert_allclose(
+        sigma_apply(p, 1, lambda x: x), moment(OperatorSpec("A", p, 40), 1, 2), atol=1e-8
+    )
+    for j in (-1, p.m):
+        with pytest.raises(ValueError):
+            sigma_apply(p, j, lambda x: x)
 
 
 def test_integrated_biorthogonality_small_block():

@@ -74,8 +74,6 @@ def test_result_validates_method_and_range():
         TransitionResult((0.5, 0.5), "spectral", (0.0,))
     with pytest.raises(ValueError):
         TransitionResult((1.5,), "spectral", (0.0,))
-    # sampling noise is allowed to leave [0, 1] only for the MC tag
-    TransitionResult((1.01,), "montecarlo", (0.02,))
 
 
 def test_state_cap():
@@ -216,6 +214,24 @@ def test_honesty_examples():
     assert abs(honesty_check(QueueParams(2.0, 1.0, 2), 3, 2.0, 80) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "n, t, R",
+    [
+        (0.5, 1.0, 40),
+        (-1, 1.0, 40),
+        (0, math.nan, 40),
+        (0, -0.1, 40),
+        (0, 1.0, 40.5),
+        (0, 1.0, -1),
+        (0, 1.0, math.nan),
+        (0, 1.0, math.inf),
+    ],
+)
+def test_honesty_rejects_bad_arguments(n, t, R):
+    with pytest.raises(ValueError):
+        honesty_check(QueueParams(1.0, 1.0, 1), n, t, R)
+
+
 def test_honesty_tail_guard():
     with pytest.raises(TailNotControlled):
         honesty_check(QueueParams(1.0, 1.0, 1), 0, 5.0, 8)
@@ -232,22 +248,31 @@ def test_semigroup_examples():
     assert semigroup_check(QueueParams(1.0, 2.0, 3), 2, 5, 0.3, 0.7, 100) <= 1e-6
 
 
+_SEMIGROUP_BAD = [
+    (0.5, 0, 0.3, 0.3, 40),
+    (-1, 0, 0.3, 0.3, 40),
+    (0, 2.5, 0.3, 0.3, 40),
+    (0, -1, 0.3, 0.3, 40),
+    (0, 0, math.nan, 0.3, 40),
+    (0, 0, -0.1, 0.3, 40),
+    (0, 0, 0.3, math.inf, 40),
+    (0, 0, 0.3, -0.1, 40),
+    (0, 0, 0.3, 0.3, 40.5),
+    (0, 0, 0.3, 0.3, -1),
+    (0, 0, 0.3, 0.3, math.nan),
+    (0, 0, 0.3, 0.3, math.inf),
+]
+
+
 @pytest.mark.parametrize(
-    "n, r, s, t",
-    [
-        (0.5, 0, 0.3, 0.3),
-        (-1, 0, 0.3, 0.3),
-        (0, 2.5, 0.3, 0.3),
-        (0, -1, 0.3, 0.3),
-        (0, 0, math.nan, 0.3),
-        (0, 0, -0.1, 0.3),
-        (0, 0, 0.3, math.inf),
-        (0, 0, 0.3, -0.1),
-    ],
+    "n, r, s, t, K",
+    _SEMIGROUP_BAD,
+    # the cutoff K enters a case's id only when it is the bad argument
+    ids=["-".join(map(str, case if case[4] != 40 else case[:4])) for case in _SEMIGROUP_BAD],
 )
-def test_semigroup_rejects_bad_arguments(n, r, s, t):
+def test_semigroup_rejects_bad_arguments(n, r, s, t, K):
     with pytest.raises(ValueError):
-        semigroup_check(QueueParams(1.0, 1.0, 1), n, r, s, t, 40)
+        semigroup_check(QueueParams(1.0, 1.0, 1), n, r, s, t, K)
 
 
 def test_semigroup_tail_guard():
