@@ -188,29 +188,31 @@ def star_geometry(cfg: AlgebraicConfig) -> StarGeometry:
     )
 
 
-def boundary_values(cfg: AlgebraicConfig, t: float) -> tuple[complex, complex]:
+def boundary_values(cfg: AlgebraicConfig, t) -> tuple[np.ndarray, np.ndarray]:
     """Limits of the dominant branch from the two sides of the real arm.
 
     On the open arm (0, a) the two largest roots form a complex-conjugate
     pair; this returns ``(omega_plus, omega_minus)`` with ``omega_plus`` in
-    the upper half plane.
+    the upper half plane, at every abscissa of ``t`` in one batched
+    :func:`dominant_roots` solve (0-d arrays for a scalar ``t``).
 
     Raises
     ------
     NotOnOpenArm
-        If ``t`` is not strictly inside (0, a).
+        If some ``t`` is not strictly inside (0, a).
     NoConjugatePair
-        If no genuinely complex pair exists at ``t`` (degenerate numerics
-        close to either endpoint).
+        If no genuinely complex pair exists at some ``t`` (degenerate
+        numerics close to either endpoint).
     """
     a = star_geometry(cfg).arm_length
-    if not 0.0 < t < a:
-        raise NotOnOpenArm(f"need 0 < t < a = {a:.6g}, got t = {t}")
-    roots = solve_branches(cfg, t).omega
+    t = np.asarray(t, dtype=float)
+    off = ~((0.0 < t) & (t < a))
+    if np.any(off):
+        raise NotOnOpenArm(f"need 0 < t < a = {a:.6g}, got t = {t[off][0]}")
+    w0 = dominant_roots(cfg, t)
     # the top pair shares the largest modulus; demand a real imaginary part
-    w0 = roots[0]
-    tol = 1e-10 * max(1.0, abs(w0))
-    if abs(w0.imag) <= tol:
-        raise NoConjugatePair(f"dominant root is real at t = {t} (too close to an endpoint?)")
-    plus = w0 if w0.imag > 0 else w0.conjugate()
-    return plus, plus.conjugate()
+    real = np.abs(w0.imag) <= 1e-10 * np.maximum(1.0, np.abs(w0))
+    if np.any(real):
+        raise NoConjugatePair(f"dominant root is real at t = {t[real][0]} (near an endpoint?)")
+    plus = np.where(w0.imag > 0, w0, w0.conj())
+    return plus, plus.conj()

@@ -135,8 +135,11 @@ def cmd_branches(m, c, z_values, frame, star, output) -> None:
     """Solve the branch equation on a z-grid, or report the star geometry."""
     if m < 1:
         raise click.UsageError(f"batch size m must be >= 1, got {m}")
-    if c <= 0.0:
-        raise click.UsageError(f"constant c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise click.UsageError(f"constant c must be positive and finite, got {c}")
+    for z in z_values:
+        if not math.isfinite(z):
+            raise click.UsageError(f"evaluation points must be finite, got {z}")
     cfg = AlgebraicConfig(c=c, m=m, frame=frame)
     echo = f"# bulkq branches m={m} c={_g17(c)} frame={frame}"
     if star:

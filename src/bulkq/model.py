@@ -11,7 +11,9 @@ generator acts on sequences indexed by 0, 1, 2, ... with three bands:
 * the diagonal balances the row.
 
 Everything downstream (polynomials, spectral functionals, oracles) is a
-different route to the matrix exponential of this one operator.
+different route to the matrix exponential of this one operator.  The
+Poisson tail helpers at the bottom set the truncations of both the engine's
+checks and the oracles.
 """
 
 from __future__ import annotations
@@ -112,3 +114,19 @@ def build_generator(p: QueueParams, N: int) -> GeneratorMatrix:
     a[idx[m:], idx[m:] - m] = mu
     a.flags.writeable = False
     return GeneratorMatrix(dim=N, entries=a)
+
+
+def _poisson_tail(k: int, a: float) -> float:
+    """P[Poisson(a) > k] for integer k (1.0 when k < 0)."""
+    from scipy.special import gammainc  # deferred: scipy is heavy to import
+    if k < 0:
+        return 1.0
+    return float(gammainc(k + 1, a))
+
+
+def _poisson_quantile(a: float, tol: float) -> int:
+    """Smallest k with P[Poisson(a) > k] < tol."""
+    k = max(0, int(a))
+    while _poisson_tail(k, a) >= tol:
+        k += 1
+    return k

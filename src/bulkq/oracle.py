@@ -23,11 +23,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
-from .model import QueueParams, build_generator, validate_params
+from .model import QueueParams, _poisson_quantile, _poisson_tail, build_generator, validate_params
 from .transition import (
     TransitionQuery,
-    _poisson_quantile,
-    _poisson_tail,
     decay_rate,
     fitted_decay_rate,
     transition_spectral,

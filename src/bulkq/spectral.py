@@ -16,9 +16,12 @@ from :func:`~bulkq.algebraic.star_geometry`.  Three layers:
   the reduced polynomials, spread over the arms, with classical
   second-kind-over-derivative weights.
 
-The tube machinery at the bottom serves ``sigma_apply`` and ``bulkq
-validate``; the transition module integrates resolvent rows on Talbot's
-contour instead and borrows only the poles and residues of ``_atoms``.
+The arm and the tube share one sin^2-graded panel rule (``_graded``) and
+one panel-doubling ladder (``_ladder``); the arm's boundary values come
+from one batched dominant-root solve, and the resolvent samples and its
+pole residues from one tail recurrence (``_tails``).  The tube serves
+``sigma_apply`` and ``bulkq validate``; the transition module integrates
+resolvent rows on Talbot's contour and borrows only ``_atoms``.
 """
 
 from __future__ import annotations
@@ -33,14 +36,9 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebraic import (
-    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, solve_branches,
-    star_geometry,
+    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, solve_branches, star_geometry,
 )
-from .errors import (
-    InsideSupport,
-    QuadratureNotConverged,
-    ZeroFindingFailure,
-)
+from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, validate_params
 from .polynomials import h_poly, h_zeros
 
@@ -60,32 +58,68 @@ SUPPORT_GUARD = 0.1
 
 
 # --------------------------------------------------------------------------
+# panel rule and doubling ladder, shared by the arm and the tube
+
+
+def _graded(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on sin^2-graded panels from lo to hi.
+
+    The panel breaks ``lo + (hi - lo) sin^2(pi s / 2)`` over a uniform
+    s-grid cluster at both ends, where the star's densities have their
+    square-root tips.  ``hi < lo`` runs the segment backwards.
+    """
+    s = np.linspace(0.0, 1.0, panels + 1)
+    brk = lo + (hi - lo) * np.sin(0.5 * math.pi * s) ** 2
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    aa, bb = brk[:-1, None], brk[1:, None]
+    nodes = 0.5 * (aa + bb) + 0.5 * (bb - aa) * gx
+    return nodes.ravel(), (0.5 * (bb - aa) * gw).ravel()
+
+
+def _ladder(levels: tuple[int, ...], value: Callable, tol: float, what: str) -> complex:
+    """Evaluate ``value`` at each panel count in ``levels`` until two agree.
+
+    Returns the first value within ``tol * max(1, |value|)`` of the one
+    before it.
+
+    Raises
+    ------
+    QuadratureNotConverged
+        If no two successive levels agree; the message names ``what``.
+    """
+    prev = None
+    for panels in levels:
+        val = value(panels)
+        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+            return val
+        prev = val
+    raise QuadratureNotConverged(
+        f"{what} still moving after {levels[-1]} panels (last delta {abs(val - prev):.2e})"
+    )
+
+
+# --------------------------------------------------------------------------
 # Markov / Stieltjes representation
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=32)
+def _arm_boundary(cfg: AlgebraicConfig, panels: int, order: int):
+    """Graded nodes and weights on the arm (0, a), and omega_+ at every node."""
+    ts, ws = _graded(0.0, star_geometry(cfg).arm_length, panels, order)
+    plus = boundary_values(cfg, ts)[0]
+    for cached in (ts, ws, plus):
+        cached.setflags(write=False)
+    return ts, ws, plus
+
+
 def _arm_density(cfg: AlgebraicConfig, j: int, panels: int, order: int):
     """Graded Gauss-Legendre nodes on (0, a) with the index-j jump density.
 
-    The density is the boundary jump of ``omega_0**-j``; grading is the
-    sin^2 map, clustering points at both the origin and the square-root
-    tip of the weight.
+    The density is the boundary jump ``(omega_- ** -j - omega_+ ** -j) /
+    (2 pi i)`` of ``omega_0**-j``, which is ``-Im(omega_+ ** -j) / pi``.
     """
-    a = star_geometry(cfg).arm_length
-    s = np.linspace(0.0, 1.0, panels + 1)
-    brk = a * np.sin(0.5 * math.pi * s) ** 2
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    ts, ws = [], []
-    for lo, hi in zip(brk[:-1], brk[1:]):
-        ts.append(0.5 * (hi + lo) + 0.5 * (hi - lo) * gx)
-        ws.append(0.5 * (hi - lo) * gw)
-    t_all = np.concatenate(ts)
-    w_all = np.concatenate(ws)
-    dens = np.empty_like(t_all)
-    for i, t in enumerate(t_all):
-        plus, minus = boundary_values(cfg, float(t))
-        dens[i] = ((minus**-j - plus**-j) / (2j * math.pi)).real
-    return t_all, w_all, dens
+    ts, ws, plus = _arm_boundary(cfg, panels, order)
+    return ts, ws, -(plus**-j).imag / math.pi
 
 
 def _dist_to_star(geo: StarGeometry, z: complex) -> float:
@@ -126,18 +160,13 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
     lhs = 1.0 / solve_branches(cfg, z).omega[0] ** j
     rots = [geo.rotation**k for k in range(geo.arm_count)]
 
-    prev = None
-    for panels in (16, 32, 64, 128, 256, 512):
+    def star_integral(panels: int) -> complex:
         ts, ws, dens = _arm_density(cfg, j, panels, 24)
-        rhs = 0j
-        for d in rots:
-            rhs += d ** (1 - j) * np.sum(dens * ws / (z - ts * d))
-        if prev is not None and abs(rhs - prev) <= tol * max(1.0, abs(rhs)):
-            return abs(lhs - rhs)
-        prev = rhs
-    raise QuadratureNotConverged(
-        f"Markov integral at z={z}, j={j} still moving after 512 panels"
-    )
+        return sum(d ** (1 - j) * np.sum(dens * ws / (z - ts * d)) for d in rots)
+
+    levels = (16, 32, 64, 128, 256, 512)
+    rhs = _ladder(levels, star_integral, tol, f"Markov integral at z={z}, j={j}")
+    return abs(lhs - rhs)
 
 
 # --------------------------------------------------------------------------
@@ -156,30 +185,16 @@ def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
     """
     geo = star_geometry(cfg)
     a = geo.arm_length
-    theta = 2 * math.pi / geo.arm_count
-    tmin = eps / math.tan(theta / 2)
-    gx, gw = np.polynomial.legendre.leggauss(order)
+    tmin = eps / math.tan(math.pi / geo.arm_count)
+    out_t, out_w = _graded(tmin, a, panels, order)
+    cap_t, cap_w = _graded(-math.pi / 2, math.pi / 2, max(2, panels // 3), order)
+    in_t, in_w = _graded(a, tmin, panels, order)
+    arc = np.exp(1j * cap_t)
     zs, ws = [], []
-
-    def seg(f, df, lo, hi, n):
-        s = np.linspace(0.0, 1.0, n + 1)
-        brk = lo + (hi - lo) * np.sin(0.5 * math.pi * s) ** 2
-        for aa, bb in zip(brk[:-1], brk[1:]):
-            t = 0.5 * (aa + bb) + 0.5 * (bb - aa) * gx
-            zs.append(f(t))
-            ws.append(df(t) * 0.5 * (bb - aa) * gw)
-
     for k in range(geo.arm_count):
         d = geo.rotation**k
-        seg(lambda t, d=d: (t - 1j * eps) * d, lambda t, d=d: d * np.ones_like(t), tmin, a, panels)
-        seg(
-            lambda al, d=d: a * d + eps * d * np.exp(1j * al),
-            lambda al, d=d: 1j * eps * d * np.exp(1j * al),
-            -math.pi / 2,
-            math.pi / 2,
-            max(2, panels // 3),
-        )
-        seg(lambda t, d=d: (t + 1j * eps) * d, lambda t, d=d: d * np.ones_like(t), a, tmin, panels)
+        zs += [(out_t - 1j * eps) * d, a * d + eps * d * arc, (in_t + 1j * eps) * d]
+        ws += [d * out_w, 1j * eps * d * arc * cap_w, d * in_w]
     return np.concatenate(zs), np.concatenate(ws)
 
 
@@ -196,41 +211,32 @@ def _pick_eps(p: QueueParams) -> float:
     return eps
 
 
-def _division_rows(m: int, c: float, zs: np.ndarray, w0: np.ndarray) -> np.ndarray:
-    """Coefficient rows of P_z(w) / (w - omega_0), synthetic division.
+def _tails(m: int, z, w0, w):
+    """Tails ``Q_{j-1}(w) = sum_{k >= j} r_k w**(k-j)`` for j = 1..m, and ``R(w)``.
 
-    ``P_z(w) = w**(m+1) - z w**m + c``; returns r of shape (m+1, len(zs))
-    with the deflated polynomial ``R(w) = sum_k r[k] w**k``.
+    ``r_k`` are the coefficients of ``R = P_z / (w - omega_0)``, the branch
+    polynomial ``P_z(w) = w**(m+1) - z w**m + c`` deflated by its dominant
+    root: ``r_m = 1`` and ``r_k = (omega_0 - z) omega_0**(m-1-k)`` below.
+    One backward sweep ``Q_{j-1} = r_j + w Q_j`` gives every tail, and
+    ``R(w) = r_0 + w Q_0``.  Arguments broadcast; the tails stack on axis 0.
     """
-    r = np.zeros((m + 1, len(zs)), dtype=complex)
-    r[m] = 1.0
-    for k in range(m, 0, -1):
-        r[k - 1] = (-zs if k == m else 0.0) + w0 * r[k]
-    return r
+    qs = [np.ones(np.broadcast(z, w0, w).shape, dtype=complex)]
+    rk = w0 - z
+    for _ in range(m - 1):
+        qs.append(rk + w * qs[-1])
+        rk = w0 * rk
+    return np.array(qs[::-1]), rk + w * qs[-1]
 
 
 def _fhat_block(p: QueueParams, zs: np.ndarray) -> np.ndarray:
     """Closed-form resolvent samples ``fhat_j(z)`` for j = 1..m, vectorized.
 
-    ``fhat_j(z) = Q_{j-1}(z - mu) / R(z - mu)`` where R is the algebraic
-    polynomial deflated by its dominant root and Q_{j-1} collects the
-    coefficients of R above degree j-1.
+    ``fhat_j(z) = Q_{j-1}(z - mu) / R(z - mu)`` (see :func:`_tails`).
     """
-    m, mu = p.m, p.mu
-    c = p.mu * p.lam**m
-    cfg = AlgebraicConfig(c=c, m=m)
-    w0 = dominant_roots(cfg, zs)
-    r = _division_rows(m, c, zs, w0)
-    wv = zs - mu
-    pw = wv[None, :] ** np.arange(m + 1)[:, None]
-    rv = np.sum(r * pw, axis=0)
-    out = np.empty((m, len(zs)), dtype=complex)
-    for j in range(1, m + 1):
-        qj = np.zeros_like(zs)
-        for deg in range(j, m + 1):
-            qj = qj + r[deg] * wv ** (deg - j)
-        out[j - 1] = qj / rv
-    return out
+    m = p.m
+    w0 = dominant_roots(AlgebraicConfig(c=p.mu * p.lam**m, m=m), zs)
+    q, rv = _tails(m, zs, w0, zs - p.mu)
+    return q / rv
 
 
 def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]:
@@ -243,8 +249,7 @@ def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]
     omega_0) / (m mu (lam zeta)**(m-1))``.
     """
     m, lam, mu = p.m, p.lam, p.mu
-    c = mu * lam**m
-    cfg = AlgebraicConfig(c=c, m=m)
+    cfg = AlgebraicConfig(c=mu * lam**m, m=m)
     geo = star_geometry(cfg)
     out = []
     for l in range(m):
@@ -256,12 +261,8 @@ def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]
         lz = lam * zeta
         if abs(lz - w0) < 1e-8 * lam:
             continue
-        r = _division_rows(m, c, np.array([zp]), np.array([w0]))[:, 0]
-        res = np.empty(m, dtype=complex)
-        for j in range(1, m + 1):
-            qj = sum(r[deg] * lz ** (deg - j) for deg in range(j, m + 1))
-            res[j - 1] = -qj * (lz - w0) / (m * mu * lz ** (m - 1))
-        out.append((zp, res))
+        q, _ = _tails(m, zp, w0, lz)
+        out.append((zp, -q * (lz - w0) / (m * mu * lz ** (m - 1))))
     return tuple(out)
 
 
@@ -269,7 +270,6 @@ def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]
 class _TubePack:
     """Cached contour data for one parameter set and one resolution."""
 
-    eps: float
     z: np.ndarray
     w: np.ndarray
     fhat: np.ndarray  # (m, K)
@@ -280,7 +280,7 @@ class _TubePack:
 def _tube_pack(p: QueueParams, panels: int, order: int) -> _TubePack:
     eps = _pick_eps(p)
     zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m), eps, panels, order)
-    return _TubePack(eps=eps, z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=_atoms(p, eps))
+    return _TubePack(z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=_atoms(p, eps))
 
 
 def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
@@ -298,16 +298,6 @@ def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
 
 # --------------------------------------------------------------------------
 # spectral functionals
-
-
-def _sigma_from_pack(p: QueueParams, j: int, f: Callable, pack: _TubePack) -> complex:
-    shift = p.lam + p.mu
-    gx = _eval_f(f, pack.z - shift)
-    val = np.sum(gx * pack.fhat[j] * pack.w) / (2j * math.pi)
-    for zp, res in pack.atoms:
-        gp = _eval_f(f, np.array([zp - shift]))[0]
-        val = val + res[j] * gp
-    return p.lam**j * val
 
 
 def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) -> float:
@@ -329,16 +319,17 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
     validate_params(p)
     if not 0 <= j <= p.m - 1:
         raise ValueError(f"j must be in 0..{p.m - 1}, got {j}")
-    prev = None
-    for panels in (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS):
-        val = _sigma_from_pack(p, j, f, _tube_pack(p, panels, GL_ORDER))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return float(val.real)
-        prev = val
-    raise QuadratureNotConverged(
-        f"sigma_{j} not stable after {4 * BASE_PANELS} panels (last delta "
-        f"{abs(val - prev):.2e})"
-    )
+    shift = p.lam + p.mu
+
+    def functional(panels: int) -> complex:
+        pack = _tube_pack(p, panels, GL_ORDER)
+        val = np.sum(_eval_f(f, pack.z - shift) * pack.fhat[j] * pack.w) / (2j * math.pi)
+        for zp, res in pack.atoms:
+            val = val + res[j] * _eval_f(f, np.array([zp - shift]))[0]
+        return p.lam**j * val
+
+    levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS)
+    return float(_ladder(levels, functional, tol, f"sigma_{j}").real)
 
 
 # --------------------------------------------------------------------------

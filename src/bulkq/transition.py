@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebraic import AlgebraicConfig, dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
-from .model import QueueParams, validate_params
+from .model import QueueParams, _poisson_quantile, _poisson_tail, validate_params
 from .polynomials import dual_vector, q_poly
 from .spectral import _atoms
 
@@ -293,22 +293,6 @@ def transition_spectral(
         method="spectral",
         error_estimate=tuple(float(e) for e in errs[0, q.r]),
     )
-
-
-def _poisson_tail(k: int, a: float) -> float:
-    """P[Poisson(a) > k] for integer k (1.0 when k < 0)."""
-    from scipy.special import gammainc  # deferred: scipy is heavy to import
-    if k < 0:
-        return 1.0
-    return float(gammainc(k + 1, a))
-
-
-def _poisson_quantile(a: float, tol: float) -> int:
-    """Smallest k with P[Poisson(a) > k] < tol."""
-    k = max(0, int(a))
-    while _poisson_tail(k, a) >= tol:
-        k += 1
-    return k
 
 
 #: tail budget for the internal summation cutoff (below the honesty tol)

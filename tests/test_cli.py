@@ -36,6 +36,13 @@ def test_branches_rejects_zero_batch(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("c, z", [("nan", "3"), ("inf", "3"), ("1", "nan"), ("1", "inf")])
+def test_branches_rejects_non_finite(runner, c, z):
+    result = runner.invoke(main, ["branches", "--m", "1", "--c", c, "--z", z])
+    assert result.exit_code == 2
+    assert "finite" in result.output
+
+
 def test_branches_requires_points_or_star(runner):
     result = runner.invoke(main, ["branches", "--m", "1", "--c", "1"])
     assert result.exit_code == 2

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from bulkq import algebraic, spectral
 from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
-from bulkq.errors import InsideSupport
+from bulkq.errors import InsideSupport, QuadratureNotConverged
 from bulkq.model import QueueParams
 from bulkq.operators import OperatorSpec, moment
 from bulkq.polynomials import dual_vector, q_poly
@@ -25,6 +26,28 @@ def test_weight_rho_frozen_point():
     # m = 1, c = 1: the semicircle w(t) = sqrt(4 - t^2)/(2 pi) at every node
     ts, _, dens = _arm_density(AlgebraicConfig(c=1.0, m=1), 1, 16, 24)
     np.testing.assert_allclose(dens, np.sqrt(4.0 - ts**2) / (2.0 * math.pi), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("m, c", [(1, 0.37), (3, 1.9), (6, 0.053)])
+def test_arm_density_matches_per_node_branch_solve(m, c, monkeypatch):
+    cfg = AlgebraicConfig(c=c, m=m)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_arm_density solved the branch equation per node")
+
+    # the batched path calls neither solve_branches nor numpy.roots
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "roots", refuse)
+        patch.setattr(algebraic, "solve_branches", refuse)
+        patch.setattr(spectral, "solve_branches", refuse)
+        got = [_arm_density(cfg, j, 64, 24) for j in range(1, m + 1)]
+    ts = got[0][0]
+    w0 = np.array([solve_branches(cfg, float(t)).omega[0] for t in ts])
+    plus = np.where(w0.imag > 0, w0, w0.conj())
+    for j, (tj, _, dens) in enumerate(got, start=1):
+        assert np.array_equal(tj, ts)
+        ref = ((plus.conj() ** -j - plus**-j) / (2j * math.pi)).real
+        assert np.max(np.abs(dens - ref)) <= 5e-12 * np.max(np.abs(ref)), j
 
 
 def test_weight_rho_positive_inside_and_small_at_tip():
@@ -90,6 +113,12 @@ def test_markov_residual_random_exterior_points():
             j = int(rng.integers(1, m + 1))
             assert markov_residual(cfg, j, z) <= 1e-7
             done += 1
+
+
+def test_markov_residual_ladder_failure():
+    # no two of the 16..512-panel integrals agree exactly
+    with pytest.raises(QuadratureNotConverged, match="still moving after 512 panels"):
+        markov_residual(AlgebraicConfig(c=1.0, m=2), 1, 3.0 + 1.0j, tol=0.0)
 
 
 def test_markov_residual_inside_support_raises():
@@ -160,6 +189,12 @@ def test_sigma_monomials_all_indices():
                 got = sigma_apply(p, j, lambda x, nu=nu: x**nu)
                 want = moment(spec, nu, j + 1)
                 np.testing.assert_allclose(got, want, rtol=MOMENT_TOL, atol=MOMENT_TOL)
+
+
+def test_sigma_apply_ladder_failure():
+    # the 12-, 24- and 48-panel values differ in the last bits
+    with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 48 panels"):
+        sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3, tol=0.0)
 
 
 def test_sigma_scalar_callable_fallback():

@@ -194,6 +194,17 @@ def test_pole_outside_contour_raises():
         transition_spectral(p, TransitionQuery(0, 0, (50.0,)))
 
 
+def test_long_time_limit():
+    # README's limit: at t = 1e5 the entry is the stationary (1 - rho) rho^3 of
+    # M/M/1 at rho = 1/2; by t = 3e5 rounding in the banded solve near the
+    # steady-state pole at 0 splits the two rules, and the engine refuses
+    p = QueueParams(1.0, 2.0, 1)
+    got = transition_spectral(p, TransitionQuery(5, 3, (1e5,))).values[0]
+    assert abs(got - 0.0625) <= 1e-6
+    with pytest.raises(QuadratureNotConverged):
+        transition_spectral(p, TransitionQuery(5, 3, (3e5,)))
+
+
 def test_nonnegativity_small_grid():
     p = QueueParams(1.0, 1.0, 2)
     for n in range(6):
