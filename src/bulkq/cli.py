@@ -441,6 +441,8 @@ def cmd_validate(m_max, n_max, tol, seed) -> None:
         raise click.UsageError(f"need m-max >= 1 and n-max >= 4, got {m_max}, {n_max}")
     if tol <= 0.0 or not math.isfinite(tol):
         raise click.UsageError(f"tolerance must be positive, got {tol}")
+    if seed < 0:
+        raise click.UsageError(f"seed must be an integer >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     suites = [
         ("branches", lambda: _suite_branches(m_max, rng)),

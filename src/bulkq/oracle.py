@@ -8,15 +8,22 @@ spectral engine:
 * successive approximation — the integral-equation iteration whose k-th
   increment is exactly ``t^k A^k b / k!``, with executable error bounds;
 * discrete-event simulation — vectorized lockstep runs of the queue
-  itself on a counter-based random stream.
+  itself on a counter-based random stream, one run recording the state at
+  every requested horizon.
 
 The cross-validation report runs all of them against the spectral values
-over a query grid and applies the package's tolerance policy.
+over a query grid and applies the package's tolerance policy.  Each oracle
+runs once per start state or per time, never once per grid cell: one
+uniformization matrix per time, one Picard block carrying every start as a
+column per time, one simulation per start covering all of its times, and
+one spectral query per (n, r) carrying all of that pair's times.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,6 +32,7 @@ import numpy as np
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import QueueParams, _poisson_quantile, _poisson_tail, build_generator, validate_params
 from .transition import (
+    STATE_CAP,
     TransitionQuery,
     decay_rate,
     fitted_decay_rate,
@@ -203,7 +211,7 @@ def picard_solve(
 
 
 def _picard_vector(gen_t: sparse.csr_matrix, b: np.ndarray, t: float, K: int) -> np.ndarray:
-    """One Picard solve from an arbitrary start vector (no bookkeeping)."""
+    """One Picard solve from start vectors, the columns of ``b`` (no bookkeeping)."""
     y = b.copy()
     g = b.copy()
     for k in range(1, K + 1):
@@ -212,21 +220,22 @@ def _picard_vector(gen_t: sparse.csr_matrix, b: np.ndarray, t: float, K: int) ->
     return y
 
 
-def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, n: int, t: float) -> np.ndarray:
-    """Row n of P(t) by composing short Picard legs.
+def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) -> np.ndarray:
+    """Rows ``starts`` of P(t) as the columns of one block, by short Picard legs.
 
     A single Taylor run over a long horizon climbs a hump of increments
     of size up to e^{lMt} before cancelling back to probabilities, and
     the round-off from the hump survives; capping each leg at lM*dt <= 10
     keeps the intermediate terms small, and the legs chain by the
-    semigroup property.
+    semigroup property.  The sparse product treats each column on its
+    own, so a column equals the one-column block bit for bit.
     """
     a_full = (p.m + 2) * (p.lam + p.mu) * t
     legs = max(1, math.ceil(a_full / 10.0))
     dt = t / legs
     K = _poisson_quantile(a_full / legs, 1e-12) + 5
-    y = np.zeros(gen_t.shape[0])
-    y[n] = 1.0
+    y = np.zeros((gen_t.shape[0], len(starts)))
+    y[starts, np.arange(len(starts))] = 1.0
     for _ in range(legs):
         y = _picard_vector(gen_t, y, dt, K)
     return y
@@ -242,8 +251,12 @@ class McConfig:
     horizon: float
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError(f"need at least one replication, got {self.replications}")
+        if not (isinstance(self.replications, numbers.Integral) and self.replications >= 1):
+            raise ValueError(
+                f"replications must be an integer >= 1, got {self.replications!r}"
+            )
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.start < 0 or int(self.start) != self.start:
             raise ValueError(f"start state must be an integer >= 0, got {self.start}")
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
@@ -263,33 +276,71 @@ class McResult:
     replications: int
 
 
+def _lockstep(p: QueueParams, start: int, horizons, reps: int, seed: int) -> np.ndarray:
+    """State histograms of ``reps`` runs of the queue from ``start``, one per horizon.
+
+    ``horizons`` must ascend.  Each round draws, from one Philox stream, an
+    exponential holding time for every live replication at rate lam below
+    m and lam + mu at or above m.  Every horizon at or before a
+    replication's next event sees its current state and is counted then;
+    a replication whose next event lies past the last horizon leaves the
+    run.  Of the rest, those at i >= m draw a uniform that makes the event
+    a batch departure (removing m) with probability mu/(lam+mu), and every
+    other event is an arrival.  Returns int64 counts of shape
+    (len(horizons), S), S one past the larger of ``start`` and the largest
+    state counted.
+    """
+    hs = np.append(np.asarray(horizons, dtype=float), math.inf)
+    last = hs.size - 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    counts = np.zeros((last, start + 1), dtype=np.int64)
+    state = np.full(reps, start, dtype=np.int32)
+    clock = np.zeros(reps)
+    due = np.zeros(reps, dtype=np.int32)  # first horizon not yet counted
+    edge = np.full(reps, hs[0])  # and its time
+    p_depart = p.mu / (p.lam + p.mu)
+    while state.size:
+        busy = state >= p.m
+        clock = clock + rng.exponential(size=state.size) / np.where(busy, p.lam + p.mu, p.lam)
+        hit = np.flatnonzero(edge <= clock)
+        while hit.size:  # a long holding time can span several horizons
+            grow = int(state[hit].max()) + 1 - counts.shape[1]
+            if grow > 0:
+                counts = np.pad(counts, ((0, 0), (0, grow)))
+            key = due[hit] * counts.shape[1] + state[hit]
+            counts += np.bincount(key, minlength=counts.size).reshape(counts.shape)
+            due[hit] += 1
+            edge[hit] = hs[due[hit]]
+            hit = hit[edge[hit] <= clock[hit]]
+        live = due < last
+        if not live.all():
+            state, clock, busy, due, edge = (arr[live] for arr in (state, clock, busy, due, edge))
+        queued = np.flatnonzero(busy)
+        state += 1
+        state[queued[rng.random(queued.size) < p_depart]] -= p.m + 1
+    return counts
+
+
+def _mc_result(counts: np.ndarray, reps: int) -> McResult:
+    """Frequencies and binomial standard errors from one horizon's state counts."""
+    freq = np.trim_zeros(counts, "b") / reps
+    return McResult(freq=freq, stderr=np.sqrt(freq * (1.0 - freq) / reps), replications=reps)
+
+
 def simulate_mc(p: QueueParams, cfg: McConfig) -> McResult:
-    """Vectorized lockstep discrete-event runs of the queue.
+    """Vectorized lockstep discrete-event runs of the queue up to one horizon.
 
     From state i < m only arrivals fire (rate lam); from i >= m the clock
     runs at lam + mu and the event is an arrival with probability
-    lam/(lam+mu), else a batch departure removing m at once.  Every round
-    draws for all replications from one counter-based (Philox) stream, so
-    a given seed reproduces the result bit for bit.
+    lam/(lam+mu), else a batch departure removing m at once.  This is the
+    one-horizon case of the run :func:`cross_validate` makes per start
+    state: each round draws only for the replications whose next event
+    still falls before the horizon, from one counter-based (Philox)
+    stream, so a given seed reproduces the result bit for bit.
     """
     validate_params(p)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    reps = cfg.replications
-    state = np.full(reps, cfg.start, dtype=np.int64)
-    clock = np.zeros(reps)
-    alive = np.ones(reps, dtype=bool)
-    p_depart = p.mu / (p.lam + p.mu)
-    while alive.any():
-        rate = np.where(state >= p.m, p.lam + p.mu, p.lam)
-        nxt = clock + rng.exponential(size=reps) / rate
-        fire = alive & (nxt < cfg.horizon)
-        clock = np.where(fire, nxt, clock)
-        depart = fire & (state >= p.m) & (rng.random(reps) < p_depart)
-        state = state + np.where(fire, np.where(depart, -p.m, 1), 0)
-        alive = fire
-    freq = np.bincount(state) / reps
-    stderr = np.sqrt(freq * (1.0 - freq) / reps)
-    return McResult(freq=freq, stderr=stderr, replications=reps)
+    counts = _lockstep(p, cfg.start, (cfg.horizon,), cfg.replications, cfg.seed)
+    return _mc_result(counts[0], cfg.replications)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,6 +359,28 @@ class CrossReport:
     passed: bool
 
 
+def _grid_points(grid) -> list[tuple[int, int, float]]:
+    """The (n, r, t) triples of ``grid``, checked before any engine runs."""
+    pts = []
+    for n, r, t in grid:
+        states_ok = all(float(k).is_integer() and 0 <= k <= STATE_CAP for k in (n, r))
+        if not (states_ok and math.isfinite(t) and t >= 0.0):
+            raise ValueError(
+                f"grid point (n, r, t) = ({n}, {r}, {t}) needs integer states in "
+                f"[0, {STATE_CAP}] and a finite t >= 0"
+            )
+        pts.append((int(n), int(r), float(t)))
+    return pts
+
+
+def _grouped(pairs) -> dict:
+    """The distinct values per key of ``(key, value)`` pairs, both in ascending order."""
+    out = defaultdict(set)
+    for key, value in pairs:
+        out[key].add(value)
+    return {key: sorted(values) for key, values in sorted(out.items())}
+
+
 def cross_validate(
     p: QueueParams,
     grid,
@@ -324,10 +397,21 @@ def cross_validate(
     must land within 15% of the closed form; otherwise — in particular
     at criticality, where the rate is 0 — that assertion is skipped.
     An empty grid passes vacuously.
+
+    Each engine runs once per time or per start, not per point: one
+    uniformization matrix and one Picard block per time, one simulation
+    per start over all of its times (every start reuses ``seed``), and
+    one spectral query per (n, r).
+
+    Raises
+    ------
+    ValueError
+        If a state is not an integer in [0, STATE_CAP] or a time is not
+        finite and >= 0; the grid is checked before any engine runs.
     """
     from scipy import sparse
     validate_params(p)
-    pts = [(int(n), int(r), float(t)) for (n, r, t) in grid]
+    pts = _grid_points(grid)
     if not pts:
         return CrossReport(
             rows=(), max_spectral_diff=0.0, max_picard_diff=0.0,
@@ -340,28 +424,32 @@ def cross_validate(
     floor = max(4 * (p.m + p.lam * t_max), 2 * (n_max + r_max + 2))
     while N < floor:
         N *= 2
-    mats: dict[float, np.ndarray] = {}
-    for t in sorted({t for _, _, t in pts}):
-        mats[t] = expm_uniformization(p, N, t, rows=n_max + 1)
+    starts_at = _grouped((t, n) for n, _, t in pts)
+    times_from = _grouped((n, t) for n, _, t in pts)
+    times_of = _grouped(((n, r), t) for n, r, t in pts)
+    mats = {t: expm_uniformization(p, N, t, rows=n_max + 1) for t in starts_at}
     N = max(mat.shape[0] for mat in mats.values())  # pick up any auto-doubling
     gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
     pic: dict[tuple[int, float], np.ndarray] = {}
-    for n, t in sorted({(n, t) for n, _, t in pts}):
-        pic[n, t] = _picard_chain(p, gen_t, n, t)
+    for t, starts in starts_at.items():
+        block = _picard_chain(p, gen_t, starts, t)
+        pic.update(((n, t), block[:, j]) for j, n in enumerate(starts))
     mc: dict[tuple[int, float], McResult] = {}
     if mc_reps > 0:
-        for n, t in sorted({(n, t) for n, _, t in pts}):
-            mc[n, t] = simulate_mc(
-                p, McConfig(replications=mc_reps, seed=seed, start=n, horizon=t)
-            )
+        for n, horizons in times_from.items():
+            counts = _lockstep(p, n, horizons, mc_reps, seed)
+            mc.update(((n, t), _mc_result(row, mc_reps)) for t, row in zip(horizons, counts))
+    spec: dict[tuple[int, int, float], float] = {}
+    for (n, r), ts in times_of.items():
+        values = transition_spectral(p, TransitionQuery(n, r, ts)).values
+        spec.update(((n, r, t), v) for t, v in zip(ts, values))
     rows = []
     worst_spec = worst_pic = 0.0
     mc_hits = mc_cells = 0
     for n, r, t in pts:
-        spec = transition_spectral(p, TransitionQuery(n, r, (t,))).values[0]
         unif = float(mats[t][n, r])
         pica = float(pic[n, t][r])
-        worst_spec = max(worst_spec, abs(spec - unif))
+        worst_spec = max(worst_spec, abs(spec[n, r, t] - unif))
         worst_pic = max(worst_pic, abs(pica - unif))
         sim = math.nan
         if mc_reps > 0:
@@ -371,7 +459,7 @@ def cross_validate(
                 se = max(float(res.stderr[r]) if r < len(res.freq) else 0.0, 1e-12)
                 mc_cells += 1
                 mc_hits += abs(sim - unif) <= 3.0 * se
-        rows.append((n, r, t, spec, unif, pica, sim))
+        rows.append((n, r, t, spec[n, r, t], unif, pica, sim))
     coverage = None if mc_cells == 0 else mc_hits / mc_cells
     passed = worst_spec <= SPECTRAL_VS_EXPM and worst_pic <= PICARD_VS_EXPM
     if coverage is not None:

@@ -187,6 +187,19 @@ def test_simulate_rejects_bad_replications(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--lambda", "1", "--mu", "1", "--m", "1", "--t", "1", "--reps", "100"],
+        ["validate"],
+    ],
+)
+def test_rejects_negative_seed(runner, command):
+    result = runner.invoke(main, command + ["--seed", "-1"])
+    assert result.exit_code == 2
+    assert "seed must be an integer >= 0" in result.output
+
+
 def test_validate_default_battery_passes(runner):
     result = runner.invoke(main, ["validate"])
     assert result.exit_code == 0, result.output

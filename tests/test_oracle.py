@@ -1,17 +1,24 @@
 """Tests for the ground-truth engines and their cross-validation."""
 
 import math
+import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import sparse, special
 from scipy.linalg import expm as dense_expm
 
+from bulkq import oracle
 from bulkq.errors import IterationBudgetExceeded, TruncationTooSmall
 from bulkq.model import QueueParams, build_generator
 from bulkq.oracle import (
+    PICARD_VS_EXPM,
     McConfig,
+    _lockstep,
+    _mc_result,
+    _picard_chain,
     cross_validate,
     expm_uniformization,
     picard_solve,
@@ -134,6 +141,19 @@ def test_picard_tail_certificate():
     assert state.iterations == 60
 
 
+def test_picard_block_columns_match_single_column():
+    p = QueueParams(lam=1.2, mu=0.8, m=3)
+    t, starts = 30.0, list(range(9))
+    ref = expm_uniformization(p, 256, t, rows=len(starts))
+    N = ref.shape[0]
+    gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
+    block = _picard_chain(p, gen_t, starts, t)
+    assert block.shape == (N, len(starts))
+    for j, n in enumerate(starts):
+        assert np.array_equal(block[:, j], _picard_chain(p, gen_t, [n], t)[:, 0])
+    assert np.max(np.abs(block.T - ref[starts])) <= PICARD_VS_EXPM
+
+
 def test_picard_rejects_bad_inputs():
     p = QueueParams(lam=1.0, mu=1.0, m=1)
     with pytest.raises(ValueError):
@@ -201,6 +221,40 @@ def test_mc_config_validation():
         McConfig(replications=10, seed=1, start=-1, horizon=1.0)
     with pytest.raises(ValueError):
         McConfig(replications=10, seed=1, start=0, horizon=-1.0)
+    with pytest.raises(ValueError, match="replications"):
+        McConfig(replications=2.5, seed=1, start=0, horizon=1.0)
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            McConfig(replications=10, seed=seed, start=0, horizon=1.0)
+
+
+def test_lockstep_zero_horizon_is_point_mass():
+    p = QueueParams(lam=1.0, mu=1.0, m=2)
+    counts = _lockstep(p, 4, (0.0, 1.0), 500, 1)
+    assert counts[0, 4] == 500 and counts[0].sum() == 500
+    assert counts[1].sum() == 500
+
+
+def test_lockstep_reproducible_given_seed():
+    p = QueueParams(lam=1.2, mu=0.8, m=3)
+    args = (p, 2, (0.5, 4.0, 10.0), 5000)
+    a = _lockstep(*args, 42)
+    assert np.array_equal(a, _lockstep(*args, 42))
+    assert not np.array_equal(a, _lockstep(*args, 43))
+
+
+def test_lockstep_three_horizons_against_uniformization():
+    p = QueueParams(lam=1.0, mu=2.0, m=3)
+    start, horizons, reps = 5, (0.5, 2.0, 6.0), 100_000
+    counts = _lockstep(p, start, horizons, reps, 11)
+    for row, t in zip(counts, horizons):
+        res = _mc_result(row, reps)
+        ref = expm_uniformization(p, 64, t)[start]
+        for r in range(len(res.freq)):
+            expect = ref[r] if r < 64 else 0.0
+            if expect * reps < 10.0:
+                continue  # too little mass for the binomial error bar to mean much
+            assert abs(res.freq[r] - expect) <= 3.0 * res.stderr[r]
 
 
 def test_cross_validate_empty_grid_passes():
@@ -242,6 +296,44 @@ def test_cross_validate_subcritical_checks_decay():
     rep = cross_validate(p, [(0, 0, 1.0), (1, 2, 2.0)])
     assert rep.passed
     assert rep.decay_rel_err is not None and rep.decay_rel_err <= 0.15
+
+
+@pytest.mark.parametrize(
+    "point",
+    [(1.5, 0.7, 1.0), (-1, 0, 1.0), (0, 65, 1.0), (0, 0, math.nan), (0, 0, math.inf), (0, 0, -1.0)],
+)
+def test_cross_validate_rejects_bad_grid_point(monkeypatch, point):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the grid was checked")
+
+    monkeypatch.setattr(oracle, "expm_uniformization", no_engine)
+    p = QueueParams(lam=1.0, mu=1.0, m=1)
+    with pytest.raises(ValueError, match=re.escape(str(point))):
+        cross_validate(p, [(0, 0, 1.0), point])
+
+
+def test_cross_validate_runs_each_oracle_once_per_start_or_time(monkeypatch):
+    calls = Counter()
+    for name in ("transition_spectral", "_lockstep", "_picard_chain", "simulate_mc"):
+        def counted(*args, _name=name, _real=getattr(oracle, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    p = QueueParams(lam=2.0, mu=1.0, m=2)  # critical, so no decay fit
+    grid = [(n, r, t) for n in range(9) for r in range(9) for t in (0.5, 1.0, 2.0)]
+    rep = cross_validate(p, grid, mc_reps=200, seed=1)
+    assert [row[:3] for row in rep.rows] == grid
+    assert calls == Counter(transition_spectral=81, _lockstep=9, _picard_chain=3)
+
+
+def test_cross_validate_mc_column_is_simulate_mc():
+    p = QueueParams(lam=1.0, mu=1.0, m=2)
+    grid = [(n, r, 1.5) for n in (0, 3) for r in range(8)]
+    rep = cross_validate(p, grid, mc_reps=2000, seed=5)
+    for n, r, t, *_, sim in rep.rows:
+        res = simulate_mc(p, McConfig(replications=2000, seed=5, start=n, horizon=t))
+        assert sim == (res.freq[r] if r < len(res.freq) else 0.0)
 
 
 def test_cross_validate_with_simulation():
