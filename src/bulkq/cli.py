@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 
 import click
@@ -48,30 +47,9 @@ from .transition import (
     transition_spectral,
 )
 
-_THREAD_LIMITER = None  # keeps a threadpoolctl limiter alive for the process
-
 
 def _g17(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0
-
-
-def _cap_threads() -> None:
-    """Best-effort honoring of BULKQ_THREADS for numeric thread pools."""
-    global _THREAD_LIMITER
-    raw = os.environ.get("BULKQ_THREADS")
-    if not raw:
-        return
-    try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise click.UsageError(f"BULKQ_THREADS must be an integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(limit))
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return
-    _THREAD_LIMITER = threadpool_limits(limits=limit)
 
 
 def _emit_csv(path: str | None, comment: str, header: list[str], rows) -> None:
@@ -118,7 +96,6 @@ def _build_params(lam: float, mu: float, m: int) -> QueueParams:
 @click.version_option(__version__, prog_name="bulkq")
 def main() -> None:
     """Transient analysis of the bulk-service queue."""
-    _cap_threads()
 
 
 # --------------------------------------------------------------- branches

@@ -25,7 +25,14 @@ import numpy as np
 
 from .errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 
-__all__ = ["QueueParams", "GeneratorMatrix", "validate_params", "build_generator"]
+__all__ = [
+    "QueueParams",
+    "GeneratorMatrix",
+    "validate_params",
+    "build_generator",
+    "poisson_tail",
+    "poisson_quantile",
+]
 
 
 @dataclass(frozen=True)
@@ -116,7 +123,7 @@ def build_generator(p: QueueParams, N: int) -> GeneratorMatrix:
     return GeneratorMatrix(dim=N, entries=a)
 
 
-def _poisson_tail(k: int, a: float) -> float:
+def poisson_tail(k: int, a: float) -> float:
     """P[Poisson(a) > k] for integer k (1.0 when k < 0)."""
     from scipy.special import gammainc  # deferred: scipy is heavy to import
     if k < 0:
@@ -124,9 +131,9 @@ def _poisson_tail(k: int, a: float) -> float:
     return float(gammainc(k + 1, a))
 
 
-def _poisson_quantile(a: float, tol: float) -> int:
+def poisson_quantile(a: float, tol: float) -> int:
     """Smallest k with P[Poisson(a) > k] < tol."""
     k = max(0, int(a))
-    while _poisson_tail(k, a) >= tol:
+    while poisson_tail(k, a) >= tol:
         k += 1
     return k

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
-from .model import QueueParams, _poisson_quantile, _poisson_tail, build_generator, validate_params
+from .model import QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params
 from .transition import (
     STATE_CAP,
     TransitionQuery,
@@ -111,7 +111,7 @@ def expm_uniformization(
         if a == 0.0:
             out = np.eye(N)
         else:
-            ks = np.arange(_poisson_quantile(a, tol) + 1)
+            ks = np.arange(poisson_quantile(a, tol) + 1)
             w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
             s_mat = _substochastic(p, N)
             term = np.eye(N)
@@ -182,7 +182,7 @@ def picard_solve(
     ell, big_m = p.m + 2, p.lam + p.mu
     a = ell * big_m * t
     if tol is not None:
-        tail = math.exp(a) * _poisson_tail(K, a)
+        tail = math.exp(a) * poisson_tail(K, a)
         if tail >= tol:
             raise IterationBudgetExceeded(
                 f"tail certificate {tail:.2e} at K={K} not below {tol:.0e} "
@@ -233,7 +233,7 @@ def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) ->
     a_full = (p.m + 2) * (p.lam + p.mu) * t
     legs = max(1, math.ceil(a_full / 10.0))
     dt = t / legs
-    K = _poisson_quantile(a_full / legs, 1e-12) + 5
+    K = poisson_quantile(a_full / legs, 1e-12) + 5
     y = np.zeros((gen_t.shape[0], len(starts)))
     y[starts, np.arange(len(starts))] = 1.0
     for _ in range(legs):
@@ -406,11 +406,16 @@ def cross_validate(
     Raises
     ------
     ValueError
-        If a state is not an integer in [0, STATE_CAP] or a time is not
-        finite and >= 0; the grid is checked before any engine runs.
+        If ``mc_reps`` or ``seed`` is not an integer >= 0 (``mc_reps = 0``
+        runs no simulation), or a state is not an integer in [0, STATE_CAP]
+        or a time is not finite and >= 0; all are checked before any engine
+        runs.
     """
     from scipy import sparse
     validate_params(p)
+    for label, k in (("mc_reps", mc_reps), ("seed", seed)):
+        if not (isinstance(k, numbers.Integral) and k >= 0):
+            raise ValueError(f"{label} must be an integer >= 0, got {k!r}")
     pts = _grid_points(grid)
     if not pts:
         return CrossReport(

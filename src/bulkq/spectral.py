@@ -20,8 +20,10 @@ The arm and the tube share one sin^2-graded panel rule (``_graded``) and
 one panel-doubling ladder (``_ladder``); the arm's boundary values come
 from one batched dominant-root solve, and the resolvent samples and its
 pole residues from one tail recurrence (``_tails``).  The tube serves
-``sigma_apply`` and ``bulkq validate``; the transition module integrates
-resolvent rows on Talbot's contour and borrows only ``_atoms``.
+``sigma_apply`` and ``bulkq validate``.  The resolvent's poles off the star,
+with their residues, are computed once per parameter set by the public
+``resolvent_poles``: the tube adds the ones it leaves outside as atoms, and
+the transition module's contour guard and decay fit read the same set.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .algebraic import (
-    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, solve_branches, star_geometry,
+    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, star_geometry,
 )
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, validate_params
@@ -45,6 +47,7 @@ from .polynomials import h_poly, h_zeros
 __all__ = [
     "QuadratureRule",
     "markov_residual",
+    "resolvent_poles",
     "sigma_apply",
     "star_quadrature",
 ]
@@ -87,14 +90,16 @@ def _ladder(levels: tuple[int, ...], value: Callable, tol: float, what: str) -> 
     QuadratureNotConverged
         If no two successive levels agree; the message names ``what``.
     """
-    prev = None
+    prev = delta = None
     for panels in levels:
         val = value(panels)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
+        if prev is not None:
+            delta = abs(val - prev)
+            if delta <= tol * max(1.0, abs(val)):
+                return val
         prev = val
     raise QuadratureNotConverged(
-        f"{what} still moving after {levels[-1]} panels (last delta {abs(val - prev):.2e})"
+        f"{what} still moving after {levels[-1]} panels (last delta {delta:.2e})"
     )
 
 
@@ -157,7 +162,7 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
         raise InsideSupport(
             f"z={z} is within {SUPPORT_GUARD:.0%} of the arm length from the star"
         )
-    lhs = 1.0 / solve_branches(cfg, z).omega[0] ** j
+    lhs = 1.0 / complex(dominant_roots(cfg, z)) ** j
     rots = [geo.rotation**k for k in range(geo.arm_count)]
 
     def star_integral(panels: int) -> complex:
@@ -198,14 +203,21 @@ def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
     return np.concatenate(zs), np.concatenate(ws)
 
 
+def _pole_sites(p: QueueParams, geo: StarGeometry):
+    """Every pole site: ``(lam zeta, mu + lam zeta, distance to the star)`` per m-th root zeta."""
+    for l in range(p.m):
+        lz = p.lam * cmath.exp(2j * math.pi * l / p.m)
+        zp = p.mu + lz
+        yield lz, zp, _dist_to_star(geo, zp)
+
+
 def _pick_eps(p: QueueParams) -> float:
     """Tube radius keeping every resolvent pole clearly off the curve."""
     geo = star_geometry(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m))
+    dists = [d for _, _, d in _pole_sites(p, geo)]
     eps = 0.08 * geo.arm_length
     for _ in range(3):
-        for l in range(p.m):
-            zp = p.mu + p.lam * cmath.exp(2j * math.pi * l / p.m)
-            d = _dist_to_star(geo, zp)
+        for d in dists:
             if d / 1.4 < eps < d / 0.6:
                 eps = d / 1.4
     return eps
@@ -239,31 +251,34 @@ def _fhat_block(p: QueueParams, zs: np.ndarray) -> np.ndarray:
     return q / rv
 
 
-def _atoms(p: QueueParams, eps: float) -> tuple[tuple[complex, np.ndarray], ...]:
-    """Resolvent poles outside the eps-tube with their residue vectors.
+@lru_cache(maxsize=64)
+def resolvent_poles(p: QueueParams) -> tuple[tuple[complex, float, np.ndarray], ...]:
+    """Non-removable resolvent poles off the star, as ``(z, distance, residues)``.
 
     The poles sit at ``z = mu + lam zeta`` over the m-th roots of unity
-    ``zeta``; one is skipped when it falls inside the tube (the contour
-    already captures it) or when it coincides with the dominant branch
-    (removable).  Residue of fhat_j: ``-Q_{j-1}(lam zeta) (lam zeta -
-    omega_0) / (m mu (lam zeta)**(m-1))``.
+    ``zeta``.  One is dropped when it lies on the star up to rounding (every
+    tube, and the arm samples of the transition guard, already cover it) or
+    when ``lam zeta`` is the dominant branch there (removable).  ``distance``
+    is the distance to the star; the residue of fhat_j is ``-Q_{j-1}(lam
+    zeta) (lam zeta - omega_0) / (m mu (lam zeta)**(m-1))``, for j = 1..m.
+    One batched dominant-root solve serves every pole.  Cached per
+    parameter set; the residue vectors are read-only.
     """
+    validate_params(p)
     m, lam, mu = p.m, p.lam, p.mu
     cfg = AlgebraicConfig(c=mu * lam**m, m=m)
     geo = star_geometry(cfg)
-    out = []
-    for l in range(m):
-        zeta = cmath.exp(2j * math.pi * l / m)
-        zp = mu + lam * zeta
-        if _dist_to_star(geo, zp) <= eps:
-            continue
-        w0 = solve_branches(cfg, zp).omega[0]
-        lz = lam * zeta
-        if abs(lz - w0) < 1e-8 * lam:
-            continue
-        q, _ = _tails(m, zp, w0, lz)
-        out.append((zp, -q * (lz - w0) / (m * mu * lz ** (m - 1))))
-    return tuple(out)
+    sites = [s for s in _pole_sites(p, geo) if s[2] > 1e-12 * geo.arm_length]
+    if not sites:
+        return ()
+    lz, zp, dist = (np.array(col) for col in zip(*sites))
+    w0 = dominant_roots(cfg, zp)
+    keep = np.abs(lz - w0) >= 1e-8 * lam
+    lz, zp, dist, w0 = lz[keep], zp[keep], dist[keep], w0[keep]
+    q, _ = _tails(m, zp, w0, lz)
+    res = -q * (lz - w0) / (m * mu * lz ** (m - 1))
+    res.setflags(write=False)
+    return tuple((complex(z), float(d), res[:, k]) for k, (z, d) in enumerate(zip(zp, dist)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,7 +295,8 @@ class _TubePack:
 def _tube_pack(p: QueueParams, panels: int, order: int) -> _TubePack:
     eps = _pick_eps(p)
     zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m), eps, panels, order)
-    return _TubePack(z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=_atoms(p, eps))
+    atoms = tuple((z, res) for z, dist, res in resolvent_poles(p) if dist > eps)
+    return _TubePack(z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=atoms)
 
 
 def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:

@@ -6,8 +6,10 @@ node gives a whole resolvent row, whose tail past the requested states is
 exactly a power of the dominant branch; point queries, row sums and the
 chain rule share that evaluator.  It refuses a time at which a pole or arm
 that matters lies outside the contour (m = 12 at t = 50, say); m <= 6 is
-tested up to t = 100.  On top sit honesty (row sums), the chain rule, and
-the decay rate with a late-window fit of the transient part.
+tested up to t = 100.  The guard's poles, from
+:func:`~bulkq.spectral.resolvent_poles`, and arm samples are built once per
+parameter set.  On top sit honesty (row sums), the chain rule, and the decay
+rate with a late-window fit of the transient part.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 
 from .algebraic import AlgebraicConfig, dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
-from .model import QueueParams, _poisson_quantile, _poisson_tail, validate_params
-from .polynomials import dual_vector, q_poly
-from .spectral import _atoms
+from .model import QueueParams, poisson_quantile, poisson_tail, validate_params
+from .spectral import resolvent_poles
 
 __all__ = [
     "TransitionQuery",
@@ -142,18 +143,27 @@ def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     return s, (2.0 / K) * np.exp(s * t) * ds
 
 
+@lru_cache(maxsize=64)
+def _singular_points(p: QueueParams) -> np.ndarray:
+    """The resolvent poles and 65 samples per arm of the star, in the generator frame."""
+    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A"))
+    arms = np.multiply.outer(geo.rotation ** np.arange(geo.arm_count), np.linspace(0, 1, 65))
+    poles = [z for z, _, _ in resolvent_poles(p)]
+    x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel()]) - p.lam - p.mu
+    x.setflags(write=False)
+    return x
+
+
 def _guard(p: QueueParams, t: float) -> None:
     """Refuse t if a pole or arm point of weight above TRANS_TOL escapes the curve.
 
     The weight of x is ``e^{t Re x}``.  x is inside when it lies left of the
-    curve at height |Im x|; above the end of the arc it is outside.
+    curve at height |Im x|; above the end of the arc it is outside.  The
+    points themselves do not depend on t and are computed once per p.
     """
     if t < _T_MIN:
         raise QuadratureNotConverged(f"t={t:g} is below {_T_MIN:g}, where the contour overflows")
-    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A"))
-    arms = np.multiply.outer(geo.rotation ** np.arange(geo.arm_count), np.linspace(0, 1, 65))
-    poles = [zp for zp, _ in _atoms(p, 0.0)]
-    x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel()]) - p.lam - p.mu
+    x = _singular_points(p)
     weight = np.exp(t * x.real)
     th = np.clip(np.abs(x.imag) * t / (_TALBOT_D * NODES), 1e-12, math.pi)
     edge = (NODES / t) * (_TALBOT_A * th / np.tan(_TALBOT_B * th) - _TALBOT_C)
@@ -212,15 +222,13 @@ def _resolvent_rows(
     return y
 
 
-def _transition_block(
-    p: QueueParams, starts, rmax: int, times, tol: float = TRANS_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndarray, np.ndarray]:
     """P_{n,r}(t) and error estimates for n in ``starts``, r <= rmax, each time.
 
     Arrays of shape (len(starts), rmax + 1, len(times)).  Time zero is exact,
     P(0) = I; otherwise the value is the ``NODES``-node integral of the
     resolvent row and the error its gap to the ``NODES_CHECK``-node one,
-    which must stay within ``tol`` (relative, floored at scale 1), or
+    which must stay within ``TRANS_TOL`` (relative, floored at scale 1), or
     ``QuadratureNotConverged`` is raised, as it is when :func:`_guard` is.
     """
     starts = np.asarray(list(starts), dtype=int)
@@ -235,7 +243,7 @@ def _transition_block(
         y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())[: rmax + 1]
         est = np.einsum("rakn,kqn->qark", y.reshape(y.shape[:2] + s.shape), weights).imag
         gap = np.abs(est[0] - est[1])
-        bad = np.argwhere(gap > tol * np.maximum(1.0, np.abs(est[0])))
+        bad = np.argwhere(gap > TRANS_TOL * np.maximum(1.0, np.abs(est[0])))
         if bad.size:
             i, r, k = bad[0]
             raise QuadratureNotConverged(
@@ -246,34 +254,17 @@ def _transition_block(
     return vals, errs
 
 
-def _pole_lumps(p: QueueParams, n: int, r: int) -> list[tuple[complex, complex]]:
-    """Every active resolvent pole x with its P_{n,r} mass.
-
-    The mass is ``Q_n(x) sum_j lam^j res_j q_{j,r}(x)``, ``res`` the residues
-    of the closed-form resolvent; the decay fit subtracts every such mode.
-    """
-    qn, dual = q_poly(p, n), dual_vector(p, r)
-    out = []
-    for zp, res in _atoms(p, 0.0):
-        x = zp - p.lam - p.mu
-        mass = qn(x) * sum(p.lam**j * res[j] * dual.components[j](x) for j in range(p.m))
-        out.append((x, complex(mass)))
-    return out
-
-
 # --------------------------------------------------------------------------
 # public engine
 
 
-def transition_spectral(
-    p: QueueParams, q: TransitionQuery, *, tol: float = TRANS_TOL
-) -> TransitionResult:
+def transition_spectral(p: QueueParams, q: TransitionQuery) -> TransitionResult:
     """Evaluate P_{n,r}(t) at each query time by the spectral formula.
 
     Times equal to zero are answered exactly from P(0) = I; the rest
     integrate the resolvent row of n on Talbot's contour.  The gap between
     the 48- and 64-node rules is the error estimate and must stay within
-    ``tol`` (relative, floored at scale 1).
+    ``TRANS_TOL`` = 1e-9 (relative, floored at scale 1).
 
     Raises
     ------
@@ -287,7 +278,7 @@ def transition_spectral(
     for label, k in (("n", q.n), ("r", q.r)):
         if k > STATE_CAP:
             raise ValueError(f"{label} must be <= {STATE_CAP}, got {k}")
-    vals, errs = _transition_block(p, [q.n], q.r, q.times, tol)
+    vals, errs = _transition_block(p, [q.n], q.r, q.times)
     return TransitionResult(
         values=tuple(float(v) for v in vals[0, q.r]),
         method="spectral",
@@ -318,12 +309,12 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
     """
     validate_params(p)
     _check_args([("n", n), ("R", R)], [("t", t)])
-    tail = _poisson_tail(R - n, p.lam * t)
+    tail = poisson_tail(R - n, p.lam * t)
     if tail >= TAIL_TOL:
         raise TailNotControlled(
             f"Poisson tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff R={R}"
         )
-    work = int(min(R, n + _poisson_quantile(p.lam * t, _WORK_TAIL) + 2))
+    work = int(min(R, n + poisson_quantile(p.lam * t, _WORK_TAIL) + 2))
     vals, _ = _transition_block(p, [n], work, (t,))
     return float(np.sum(vals))
 
@@ -347,12 +338,12 @@ def semigroup_check(
     """
     validate_params(p)
     _check_args([("n", n), ("r", r), ("K", K)], [("s", s), ("t", t)])
-    tail = _poisson_tail(K - n, p.lam * s)
+    tail = poisson_tail(K - n, p.lam * s)
     if tail >= TAIL_TOL:
         raise TailNotControlled(
             f"intermediate tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff K={K}"
         )
-    work = int(min(K, n + _poisson_quantile(p.lam * s, _WORK_TAIL) + 2))
+    work = int(min(K, n + poisson_quantile(p.lam * s, _WORK_TAIL) + 2))
     row, _ = _transition_block(p, [n], max(work, r), (s, s + t))
     block, _ = _transition_block(p, range(work + 1), r, (t,))
     chain = row[0, : work + 1, 0] @ block[:, r, 0]
@@ -368,7 +359,7 @@ def fitted_decay_rate(
     """Exponential rate of the transient part of P_{0,0} on a late window.
 
     Subtracts every resolvent-pole mode (steady state and rotating modes)
-    from P_{0,0}(t), then least-squares fits
+    from P_{0,0}(t), each weighted by its atom in sigma_0, then least-squares fits
     ``log y = c0 - (3/2) log t + rate * t + c1 / t``; the -3/2 power is the
     branch-point contribution at the arm tip.  Meaningful only for clearly
     subcritical parameters — the window cannot resolve rates near zero.
@@ -381,8 +372,8 @@ def fitted_decay_rate(
     validate_params(p)
     ts = np.linspace(window[0], window[1], points)
     vals = np.asarray(transition_spectral(p, TransitionQuery(0, 0, tuple(ts))).values)
-    for xp, mass in _pole_lumps(p, 0, 0):
-        vals = vals - (mass * np.exp(xp * ts)).real
+    for z, _, res in resolvent_poles(p):
+        vals = vals - (res[0] * np.exp((z - p.lam - p.mu) * ts)).real
     keep = vals > 0.0
     if int(keep.sum()) < max(8, points // 2):
         raise QuadratureNotConverged(

@@ -212,14 +212,5 @@ def test_validate_rejects_bad_tolerance(runner):
     assert result.exit_code == 2
 
 
-def test_thread_cap_env_var(runner):
-    good = runner.invoke(main, ["branches", "--m", "1", "--c", "1", "--z", "2"],
-                         env={"BULKQ_THREADS": "2"})
-    assert good.exit_code == 0
-    bad = runner.invoke(main, ["branches", "--m", "1", "--c", "1", "--z", "2"],
-                        env={"BULKQ_THREADS": "many"})
-    assert bad.exit_code == 2
-
-
 if __name__ == "__main__":
     sys.exit(pytest.main([__file__, "-v"]))

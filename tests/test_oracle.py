@@ -312,6 +312,26 @@ def test_cross_validate_rejects_bad_grid_point(monkeypatch, point):
         cross_validate(p, [(0, 0, 1.0), point])
 
 
+@pytest.mark.parametrize(
+    "option, match",
+    [
+        ({"mc_reps": 2.5}, "mc_reps"),
+        ({"mc_reps": -5}, "mc_reps"),
+        ({"mc_reps": "10"}, "mc_reps"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+    ],
+)
+def test_cross_validate_rejects_bad_mc_option(monkeypatch, option, match):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the options were checked")
+
+    monkeypatch.setattr(oracle, "expm_uniformization", no_engine)
+    p = QueueParams(lam=1.0, mu=1.0, m=1)
+    with pytest.raises(ValueError, match=f"{match} must be an integer >= 0"):
+        cross_validate(p, [(0, 0, 1.0)], **option)
+
+
 def test_cross_validate_runs_each_oracle_once_per_start_or_time(monkeypatch):
     calls = Counter()
     for name in ("transition_spectral", "_lockstep", "_picard_chain", "simulate_mc"):

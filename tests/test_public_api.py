@@ -1,5 +1,7 @@
-"""Every ``__all__`` in the package resolves, and importing the package stays light."""
+"""Every ``__all__`` in the package resolves, modules share only public names,
+and importing the package stays light."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -22,6 +24,24 @@ def test_all_names_resolve_and_star_import_works(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private name is free to change inside its module; a sibling that
+    # needs it should get a public one instead
+    found = []
+    for path in sorted(Path(bulkq.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "bulkq":
+                continue
+            found += [
+                f"{path.name}:{node.lineno} imports {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.startswith("__")
+            ]
+    assert found == []
 
 
 def test_import_leaves_scipy_unloaded():

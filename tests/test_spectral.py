@@ -1,10 +1,11 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from bulkq import algebraic, spectral
+from bulkq import algebraic
 from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
 from bulkq.errors import InsideSupport, QuadratureNotConverged
 from bulkq.model import QueueParams
@@ -13,7 +14,9 @@ from bulkq.polynomials import dual_vector, q_poly
 from bulkq.spectral import (
     QuadratureRule,
     _arm_density,
+    _fhat_block,
     markov_residual,
+    resolvent_poles,
     sigma_apply,
     star_quadrature,
 )
@@ -39,7 +42,6 @@ def test_arm_density_matches_per_node_branch_solve(m, c, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(np, "roots", refuse)
         patch.setattr(algebraic, "solve_branches", refuse)
-        patch.setattr(spectral, "solve_branches", refuse)
         got = [_arm_density(cfg, j, 64, 24) for j in range(1, m + 1)]
     ts = got[0][0]
     w0 = np.array([solve_branches(cfg, float(t)).omega[0] for t in ts])
@@ -115,10 +117,16 @@ def test_markov_residual_random_exterior_points():
             done += 1
 
 
+def _last_delta(exc) -> float:
+    """The gap a ladder failure reports between its last two levels."""
+    return float(re.search(r"last delta ([^)]+)\)", str(exc)).group(1))
+
+
 def test_markov_residual_ladder_failure():
     # no two of the 16..512-panel integrals agree exactly
-    with pytest.raises(QuadratureNotConverged, match="still moving after 512 panels"):
+    with pytest.raises(QuadratureNotConverged, match="still moving after 512 panels") as err:
         markov_residual(AlgebraicConfig(c=1.0, m=2), 1, 3.0 + 1.0j, tol=0.0)
+    assert _last_delta(err.value) > 0.0
 
 
 def test_markov_residual_inside_support_raises():
@@ -193,8 +201,42 @@ def test_sigma_monomials_all_indices():
 
 def test_sigma_apply_ladder_failure():
     # the 12-, 24- and 48-panel values differ in the last bits
-    with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 48 panels"):
+    with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 48 panels") as err:
         sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3, tol=0.0)
+    assert _last_delta(err.value) > 0.0
+
+
+@pytest.mark.parametrize(
+    "lam, mu, m", [(0.5, 1.5, 1), (0.6, 1.0, 2), (1.2, 0.8, 3), (0.9, 0.7, 4), (1.0, 0.3, 6)]
+)
+def test_resolvent_poles_are_residues_of_the_resolvent(lam, mu, m, monkeypatch):
+    p = QueueParams(lam, mu, m)
+    resolvent_poles.cache_clear()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("resolvent_poles solved the branch equation per pole")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "roots", refuse)
+        poles = resolvent_poles(p)
+    assert poles and resolvent_poles(p) is poles
+    zs = np.array([z for z, _, _ in poles])
+    for z, dist, res in poles:
+        assert not res.flags.writeable
+        # (1/2 pi i) times the integral of fhat over a circle that encloses z alone
+        gap = min([dist] + [abs(z - other) for other in zs if other != z])
+        circle = 0.25 * gap * np.exp(2j * math.pi * np.arange(64) / 64)
+        contour = np.mean(_fhat_block(p, z + circle) * circle, axis=1)
+        np.testing.assert_allclose(contour, res, rtol=0, atol=1e-11 * np.max(np.abs(res)))
+
+
+def test_resolvent_poles_drop_poles_on_the_star():
+    # zeta = -1 puts the pole mu - lam on the star: at lam = mu its centre
+    # (1.2e-16i after rounding), at (0.6, 1.0, 2) the real arm.  Every tube
+    # contains it, so only mu + lam is left
+    for lam, mu in [(1.0, 1.0), (0.6, 1.0)]:
+        poles = resolvent_poles(QueueParams(lam, mu, 2))
+        assert [z for z, _, _ in poles] == [mu + lam]
 
 
 def test_sigma_scalar_callable_fallback():

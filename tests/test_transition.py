@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from bulkq import spectral
 from bulkq.errors import QuadratureNotConverged, TailNotControlled
 from bulkq.model import QueueParams, build_generator
 from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization
+from bulkq.spectral import resolvent_poles
 from bulkq.transition import (
     STATE_CAP,
     TransitionQuery,
@@ -177,6 +179,27 @@ def test_domain_matches_uniformization(m, rho):
                 assert abs(v - mat[n, r]) <= SPECTRAL_VS_EXPM, (n, r, t)
 
 
+def test_cold_query_builds_the_singular_set_once(monkeypatch):
+    # the guard's poles and arm samples do not depend on t: one batched pole
+    # solve serves every time of a cold query, and no per-point branch solve runs
+    calls = []
+    real = spectral._pole_sites
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the guard solved the branch equation per point")
+
+    monkeypatch.setattr(spectral, "_pole_sites", counted)
+    monkeypatch.setattr(np, "roots", refuse)
+    p = QueueParams(0.7318, 0.4591, 3)  # used by no other test, so every cache is cold
+    res = transition_spectral(p, TransitionQuery(2, 1, (0.5, 3.0, 20.0)))
+    assert len(res.values) == 3
+    assert len(calls) == 1
+
+
 def test_small_index_query_at_m6():
     # once raised QuadratureNotConverged at small indices and t <= 5
     p = QueueParams(0.4194807697969937, 0.09708687480463145, 6)
@@ -321,14 +344,12 @@ def test_fitted_decay_rate_matches_tip():
 
 def test_decay_envelope_on_window():
     # log of the transient part minus rate*t should not creep upward
-    from bulkq.transition import _pole_lumps
-
     p = QueueParams(0.5, 1.5, 1)
     rate = decay_rate(p)
     ts = np.linspace(5.0, 30.0, 11)
     vals = np.asarray(transition_spectral(p, TransitionQuery(0, 0, tuple(ts))).values)
-    for xp, mass in _pole_lumps(p, 0, 0):
-        vals = vals - (mass * np.exp(xp * ts)).real
+    for z, _, res in resolvent_poles(p):
+        vals = vals - (res[0] * np.exp((z - p.lam - p.mu) * ts)).real
     assert np.all(vals > 0)
     phi = np.log(vals) - rate * ts
     assert np.max(phi) <= phi[0] + 0.1
