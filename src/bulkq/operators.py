@@ -1,18 +1,23 @@
 """Finite sections of the three-band operators and their identities.
 
-One band pattern underlies everything here: a superdiagonal, a diagonal
-that may differ on the first m entries, and a band m below the diagonal.
-The concrete cases are
+One band pattern underlies everything here: a superdiagonal ``iota``, a
+diagonal ``-gamma`` on the first m entries and ``-xi`` after them, and a
+band ``eta`` m below the diagonal.  :meth:`OperatorSpec.bands` gives those
+four values for each case:
 
 * ``A`` — the queue generator itself,
 * ``T`` — the monic normalization (superdiagonal 1, lower band ``c``),
 * ``L`` — ``T`` plus ``mu`` on the first m diagonal entries,
 * ``H`` — the four-parameter generic pattern covering all of the above.
 
+:func:`build_matrix` turns the bands into a dense section, and the matching
+polynomial family comes from the same bands through
+:func:`~bulkq.polynomials.band_poly` (``A`` through the exact ``q_poly``).
 The module provides the basis-jump identities (each unit vector is the
 matching polynomial of the operator applied to the starting data), moments,
 and resolvent samples from banded solves.  These are the *operator-side*
-ground truth against which the spectral layer is validated.
+ground truth against which the spectral layer is validated; the dual and
+bi-orthogonality checks read ``A`` from :func:`~bulkq.model.build_generator`.
 """
 
 from __future__ import annotations
@@ -20,12 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .algebraic import AlgebraicConfig
 from .errors import InsideSupport, TruncationNotConverged, TruncationTooSmall
-from .model import QueueParams, build_generator
-from .polynomials import dual_vector, l_poly, q_poly, t_poly
+from .model import QueueParams, build_generator, validate_params
+from .polynomials import band_poly, dual_vector, q_poly
 
 __all__ = [
     "OperatorSpec",
@@ -68,6 +72,7 @@ class OperatorSpec:
         sub-m = eta, diag[m:] = -xi."""
         if self.kind == "A":
             p = self.params
+            validate_params(p)
             return (p.lam, p.lam, p.mu, p.lam + p.mu)
         if self.kind == "T":
             return (0.0, 1.0, self.params.c, 0.0)
@@ -91,8 +96,6 @@ class ResolventSample:
 
 def build_matrix(spec: OperatorSpec) -> np.ndarray:
     """Dense N x N section with the spec's band pattern."""
-    if spec.kind == "A":
-        return np.array(build_generator(spec.params, spec.N).entries)
     g, i_, e, x = spec.bands()
     m, N = spec.m, spec.N
     if N < m + 2:
@@ -110,24 +113,7 @@ def _family_coeffs(spec: OperatorSpec, n: int) -> np.ndarray:
     """Ascending coefficients of the degree-n family member matching ``kind``."""
     if spec.kind == "A":
         return np.asarray(q_poly(spec.params, n).coeffs)
-    if spec.kind == "T":
-        return np.asarray(t_poly(spec.params, n).coeffs)
-    if spec.kind == "L":
-        return np.asarray(l_poly(spec.params, n).coeffs)
-    # generic H: initial (1/iota^n)(gamma + x)^n, then
-    # (xi + x) H_n = iota H_{n+1} + eta H_{n-m}
-    g, i_, e, x = spec.bands()
-    m = spec.m
-    table = []
-    for k in range(min(m, n) + 1):
-        c = np.array([1.0])
-        for _ in range(k):
-            c = P.polymul(c, [g, 1.0]) / i_
-        table.append(c)
-    for k in range(m, n):
-        c = P.polysub(P.polymul(table[k], [x, 1.0]), e * table[k - m]) / i_
-        table.append(np.atleast_1d(c))
-    return table[n]
+    return np.asarray(band_poly(spec.m, spec.bands(), n).coeffs)
 
 
 def _apply_poly(mat: np.ndarray, coeffs: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -157,17 +143,21 @@ def basis_jump_check(spec: OperatorSpec, n: int) -> float:
     return float(np.max(np.abs(w)))
 
 
+def _dual_image(p: QueueParams, r: int, a: np.ndarray) -> np.ndarray:
+    """``sum_j q_{j,r}(a) e_j``, the dual vector of r applied to the unit vectors."""
+    out = np.zeros(len(a))
+    for j, comp in enumerate(dual_vector(p, r).components):
+        ej = np.zeros(len(a))
+        ej[j] = 1.0
+        out += _apply_poly(a, np.asarray(comp.coeffs), ej)
+    return out
+
+
 def dual_jump_check(p: QueueParams, r: int, N: int) -> float:
     """sup-norm residual of ``sum_j q_{j,r}(A) e_j = e_r``."""
     if N < (p.m + 1) * (r + 2):
         raise TruncationTooSmall(f"dual jump at r={r} needs N >= {(p.m + 1) * (r + 2)}")
-    a = np.array(build_generator(p, N).entries)
-    acc = np.zeros(N)
-    qr = dual_vector(p, r)
-    for j in range(p.m):
-        ej = np.zeros(N)
-        ej[j] = 1.0
-        acc += _apply_poly(a, np.asarray(qr.components[j].coeffs), ej)
+    acc = _dual_image(p, r, np.array(build_generator(p, N).entries))
     acc[r] -= 1.0
     return float(np.max(np.abs(acc)))
 
@@ -179,16 +169,10 @@ def biorthogonality_check(p: QueueParams, n: int, r: int, N: int) -> float:
     if N < need:
         raise TruncationTooSmall(f"bi-orthogonality at (n={n}, r={r}) needs N >= {need}")
     a = np.array(build_generator(p, N).entries)
-    left = np.zeros(N)
-    qr = dual_vector(p, r)
-    for j in range(p.m):
-        ej = np.zeros(N)
-        ej[j] = 1.0
-        left += _apply_poly(a, np.asarray(qr.components[j].coeffs), ej)
     e0 = np.zeros(N)
     e0[0] = 1.0
     right = _apply_poly(a.T, np.asarray(q_poly(p, n).coeffs), e0)
-    return float(left @ right)
+    return float(_dual_image(p, r, a) @ right)
 
 
 def moment(spec: OperatorSpec, nu: int, j: int) -> float:

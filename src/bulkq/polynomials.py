@@ -1,18 +1,26 @@
 """Polynomial families attached to the bulk-service queue.
 
-Four recurrence families appear, all driven by the same three-band
-structure:
+Every family here but the dual vectors obeys one banded recurrence, the
+higher-order three-term recurrence of Aptekarev, Kalyagin & Saff (Constr.
+Approx. 30, 2009), with band values ``(gamma, iota, eta, xi)``:
 
-* ``Q_n``  — eigenvector polynomials of the queue generator: the first
-  ``m + 1`` members are ``((lam + x)/lam)**n``, after which
-  ``(lam + mu + x) Q_n = lam Q_{n+1} + mu Q_{n-m}``.
-* ``q_r``  — dual *vector* polynomials with ``m`` components, built by the
-  same band pattern read along rows instead of columns.
-* ``T_n``, ``L_n`` — monic normalizations of the same recurrence with the
-  spectral variable shifted/scaled so the super-diagonal becomes 1
-  (``L_n(z) = lam**n * Q_n(z - lam - mu)`` coefficientwise).
-* ``h_n``  — the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
-  h_n(z**(m+1))``; its positive real zeros generate the star quadrature.
+    P_n = ((gamma + x)/iota)**n                    for n <= m,
+    iota P_{n+1} = (xi + x) P_n - eta P_{n-m}      after that.
+
+:func:`band_poly` builds it, exactly over Fractions or in floats.  The
+named families are its views:
+
+* ``Q_n``  — eigenvector polynomials of the queue generator, bands
+  ``(lam, lam, mu, lam + mu)``, exact rational.
+* ``T_n``  — the monic normalization, bands ``(0, 1, c, 0)``; the
+  second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``.
+* ``L_n``  — the shifted monic frame ``L_n(z) = lam**n * Q_n(z - lam - mu)``,
+  bands ``(-mu, 1, mu*lam**m, 0)``.
+
+Two tables keep their own recurrences: the dual vectors ``q_r`` (``m``
+components, the same band pattern read along rows instead of columns) and
+``h_n``, the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
+h_n(z**(m+1))`` whose positive real zeros generate the star quadrature.
 
 Closed forms for ``Q_n`` and ``q_{j,r}`` in terms of the algebraic branches
 are provided alongside the recurrences so each route can audit the other.
@@ -35,6 +43,7 @@ __all__ = [
     "Poly",
     "VectorPoly",
     "ExplicitCoefficients",
+    "band_poly",
     "q_poly",
     "q_explicit",
     "dual_vector",
@@ -117,7 +126,7 @@ def _comp_horner(coeffs, x):
 
 @dataclass(frozen=True)
 class Poly:
-    """A real polynomial with a family tag.
+    """A real polynomial.
 
     Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``)
     with no trailing zeros except for the zero polynomial itself.  Families
@@ -128,7 +137,6 @@ class Poly:
     """
 
     coeffs: tuple[float, ...]
-    family_tag: str = ""
     coeffs_lo: tuple[float, ...] = field(default=(), repr=False)
 
     @property
@@ -142,23 +150,26 @@ class Poly:
         return val
 
     @staticmethod
-    def from_array(c, tag: str = "") -> "Poly":
+    def from_array(c) -> "Poly":
         c = np.atleast_1d(np.asarray(c, dtype=float))
         c = np.trim_zeros(c, "b")
         if c.size == 0:
             c = np.zeros(1)
-        return Poly(coeffs=tuple(c.tolist()), family_tag=tag)
+        return Poly(coeffs=tuple(c.tolist()))
 
     @staticmethod
-    def from_exact(c, tag: str = "") -> "Poly":
-        """Split exact rational coefficients into hi + lo double pairs."""
+    def from_exact(c) -> "Poly":
+        """Split rational coefficients into hi + lo double pairs.
+
+        Float coefficients have no residual and come through unchanged.
+        """
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         hi = [float(x) for x in c]
-        lo = [float(x - Fraction(h)) for x, h in zip(c, hi)]
+        lo = [float(x - Fraction(h)) if isinstance(x, Fraction) else 0.0 for x, h in zip(c, hi)]
         if not any(lo):
             lo = []
-        return Poly(coeffs=tuple(hi), family_tag=tag, coeffs_lo=tuple(lo))
+        return Poly(coeffs=tuple(hi), coeffs_lo=tuple(lo))
 
 
 @dataclass(frozen=True)
@@ -200,12 +211,12 @@ class ExplicitCoefficients:
 
 
 # --------------------------------------------------------------------------
-# coefficient tables (ascending powers), cached per parameter set
+# coefficient tables (ascending powers), cached per band or parameter set
 # --------------------------------------------------------------------------
 
 
 def _exact_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -213,31 +224,42 @@ def _exact_mul(a, b):
 
 
 def _exact_axpy(a, scale, b):
-    """a - scale*b with ragged lengths, over Fractions."""
+    """a - scale*b with ragged lengths, over Fractions or floats."""
     n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
+    a = list(a) + [0] * (n - len(a))
+    b = list(b) + [0] * (n - len(b))
     return [x - scale * y for x, y in zip(a, b)]
 
 
 @functools.lru_cache(maxsize=64)
-def _q_table(p: QueueParams, nmax: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational coefficients of Q_0..Q_nmax (from the float rates).
+def _band_table(m: int, bands: tuple, nmax: int) -> tuple[tuple, ...]:
+    """Coefficients of P_0..P_nmax for the bands ``(gamma, iota, eta, xi)``.
 
-    Exactness here is what lets evaluation stay accurate at n ~ 20-40: the
+    Runs in the arithmetic of the band values.  Over Fractions the table is
+    exact, which is what keeps ``Q_n`` accurate at n ~ 20-40: the
     recurrence has heavy coefficient growth, and rounding inside it would
     cost ~n*eps times the (often huge) monomial condition number.
     """
-    lam, mu, m = Fraction(p.lam), Fraction(p.mu), p.m
-    base = [Fraction(1), 1 / lam]  # (lam + x)/lam
-    table = [[Fraction(1)]]
+    gamma, iota, eta, xi = bands
+    table = [[1]]
     for _ in range(min(m, nmax)):
-        table.append(_exact_mul(table[-1], base))
-    # lam*Q_{n+1} = (x + lam + mu)*Q_n - mu*Q_{n-m}
+        table.append([c / iota for c in _exact_mul(table[-1], [gamma, 1])])
     for n in range(m, nmax):
-        c = _exact_mul(table[n], [lam + mu, Fraction(1)])
-        table.append([x / lam for x in _exact_axpy(c, mu, table[n - m])])
+        c = _exact_axpy(_exact_mul(table[n], [xi, 1]), eta, table[n - m])
+        table.append([x / iota for x in c])
     return tuple(tuple(row) for row in table[: nmax + 1])
+
+
+def band_poly(m: int, bands: tuple, n: int) -> Poly:
+    """The degree-n member of the band recurrence with values ``(gamma, iota, eta, xi)``.
+
+    ``P_n = ((gamma + x)/iota)**n`` for ``n <= m``, then
+    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``.  Fraction bands give an
+    exact table, whose residuals past one double go to ``coeffs_lo``.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return Poly.from_exact(_band_table(m, tuple(bands), n)[n])
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,9 +295,8 @@ def q_poly(p: QueueParams, n: int) -> Poly:
         Exact real coefficients; degree n, leading coefficient ``lam**(-n)``.
     """
     validate_params(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Poly.from_exact(_q_table(p, n)[n], tag="Q")
+    lam, mu = Fraction(p.lam), Fraction(p.mu)
+    return band_poly(p.m, (lam, lam, mu, lam + mu), n)
 
 
 def dual_vector(p: QueueParams, r: int) -> VectorPoly:
@@ -284,11 +305,11 @@ def dual_vector(p: QueueParams, r: int) -> VectorPoly:
     if r < -1:
         raise ValueError("r must be >= -1")
     if r == -1:
-        comps = tuple(Poly.from_array([0.0], tag="q") for _ in range(p.m))
+        comps = tuple(Poly.from_array([0.0]) for _ in range(p.m))
         return VectorPoly(components=comps, r=-1)
     row = _dual_table(p, r)[r]
     return VectorPoly(
-        components=tuple(Poly.from_exact(c, tag="q") for c in row), r=r
+        components=tuple(Poly.from_exact(c) for c in row), r=r
     )
 
 
@@ -382,45 +403,21 @@ def dual_explicit(p: QueueParams, r: int, j: int, z: complex) -> complex:
 # --------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _t_table(cfg: AlgebraicConfig, nmax: int) -> tuple[np.ndarray, ...]:
-    m, c = cfg.m, cfg.c
-    table = [np.array([0.0] * n + [1.0]) for n in range(min(m, nmax) + 1)]
-    for n in range(m, nmax):
-        nxt = P.polysub(P.polymul(table[n], [0.0, 1.0]), c * table[n - m])
-        table.append(np.atleast_1d(nxt))
-    return tuple(table[: nmax + 1])
-
-
 def t_poly(cfg: AlgebraicConfig, n: int) -> Poly:
     """Monic family with unit super-diagonal: ``z T_n = T_{n+1} + c T_{n-m}``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Poly.from_array(_t_table(cfg, n)[n], tag="T")
+    return band_poly(cfg.m, (0.0, 1.0, cfg.c, 0.0), n)
 
 
 def l_poly(p: QueueParams, n: int) -> Poly:
     """Shifted monic family: ``L_n(z) = lam**n * Q_n(z - lam - mu)``.
 
-    Built by its own recurrence (initials ``(z - mu)**n``, then
-    ``z L_n = L_{n+1} + mu*lam**m L_{n-m}``) so the identity with ``q_poly``
-    is a genuine cross-check rather than a definition.
+    Its own bands (initials ``(z - mu)**n``, then
+    ``z L_n = L_{n+1} + mu*lam**m L_{n-m}``) in floats, through the routine
+    that builds ``Q`` exactly.  The identity with ``q_poly`` stays a real
+    check: the tests hold independent Fraction oracles of both families.
     """
     validate_params(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    lam, mu, m = p.lam, p.mu, p.m
-    c = mu * lam**m
-    table = []
-    for k in range(min(m, n) + 1):
-        ck = np.array([1.0])
-        for _ in range(k):
-            ck = P.polymul(ck, [-mu, 1.0])
-        table.append(ck)
-    for k in range(m, n):
-        nxt = P.polysub(P.polymul(table[k], [0.0, 1.0]), c * table[k - m])
-        table.append(np.atleast_1d(nxt))
-    return Poly.from_array(table[n], tag="L")
+    return band_poly(p.m, (-p.mu, 1.0, p.mu * p.lam**p.m, 0.0), n)
 
 
 @functools.lru_cache(maxsize=64)
@@ -441,7 +438,7 @@ def h_poly(cfg: AlgebraicConfig, n: int) -> Poly:
     """The reduced polynomial with ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Poly.from_array(_h_table(cfg, n)[n], tag="h")
+    return Poly.from_array(_h_table(cfg, n)[n])
 
 
 def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
@@ -450,9 +447,7 @@ def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
         raise ValueError(f"j must be in [1, {cfg.m}], got {j}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n < j:
-        return Poly.from_array([0.0], tag=f"T2:{j}")
-    return Poly.from_array(_t_table(cfg, n - j)[n - j], tag=f"T2:{j}")
+    return t_poly(cfg, n - j) if n >= j else Poly.from_array([0.0])
 
 
 def h_zeros(cfg: AlgebraicConfig, n: int) -> np.ndarray:

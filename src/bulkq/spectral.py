@@ -330,7 +330,7 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
     Raises
     ------
     QuadratureNotConverged
-        If two doublings never stabilize the value.
+        If three doublings never stabilize the value.
     """
     validate_params(p)
     if not 0 <= j <= p.m - 1:
@@ -344,7 +344,7 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
             val = val + res[j] * _eval_f(f, np.array([zp - shift]))[0]
         return p.lam**j * val
 
-    levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS)
+    levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS, 8 * BASE_PANELS)
     return float(_ladder(levels, functional, tol, f"sigma_{j}").real)
 
 

@@ -71,7 +71,7 @@ class TransitionQuery:
     Parameters
     ----------
     n, r : int
-        Start and end states, both >= 0.
+        Start and end states, both >= 0; integral floats become ints.
     times : sequence of float
         Nonempty, finite, nonnegative, sorted ascending.
     """
@@ -84,6 +84,8 @@ class TransitionQuery:
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
         _check_args([("n", self.n), ("r", self.r)], [("times", t) for t in ts])
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "r", int(self.r))
         if not ts:
             raise ValueError("need at least one evaluation time")
         if any(b < a for a, b in zip(ts, ts[1:])):
@@ -226,9 +228,12 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
     """P_{n,r}(t) and error estimates for n in ``starts``, r <= rmax, each time.
 
     Arrays of shape (len(starts), rmax + 1, len(times)).  Time zero is exact,
-    P(0) = I; otherwise the value is the ``NODES``-node integral of the
-    resolvent row and the error its gap to the ``NODES_CHECK``-node one,
-    which must stay within ``TRANS_TOL`` (relative, floored at scale 1), or
+    P(0) = I.  Below ``_T_MIN`` the contour overflows, so there the value is
+    I with error estimate (lam + mu) t, the most probability that can leave
+    a state by time t, if that is within ``TRANS_TOL``.  Otherwise the value
+    is the ``NODES``-node integral of the resolvent row and the error its
+    gap to the ``NODES_CHECK``-node one, which must stay within
+    ``TRANS_TOL`` (relative, floored at scale 1), or
     ``QuadratureNotConverged`` is raised, as it is when :func:`_guard` is.
     """
     starts = np.asarray(list(starts), dtype=int)
@@ -236,7 +241,10 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
     eye = starts[:, None, None] == np.arange(rmax + 1)[:, None]
     vals = np.broadcast_to(eye, (starts.size, rmax + 1, times.size)).astype(float)
     errs = np.zeros_like(vals)
-    live = np.flatnonzero(times > 0.0)
+    rate = p.lam + p.mu
+    tiny = (times > 0.0) & (times < _T_MIN) & (times <= TRANS_TOL / rate)
+    errs[:, :, tiny] = rate * times[tiny]
+    live = np.flatnonzero((times > 0.0) & ~tiny)
     if live.size:
         s, weights, omega = (np.stack(col) for col in zip(*(_nodes(p, times[k]) for k in live)))
         J = max(int(starts.max()) + 1, rmax + 1, p.m)
@@ -261,16 +269,19 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
 def transition_spectral(p: QueueParams, q: TransitionQuery) -> TransitionResult:
     """Evaluate P_{n,r}(t) at each query time by the spectral formula.
 
-    Times equal to zero are answered exactly from P(0) = I; the rest
-    integrate the resolvent row of n on Talbot's contour.  The gap between
-    the 48- and 64-node rules is the error estimate and must stay within
-    ``TRANS_TOL`` = 1e-9 (relative, floored at scale 1).
+    Times equal to zero are answered exactly from P(0) = I, and times
+    below 1e-290 from P(t) = I with error estimate (lam + mu) t while that
+    is within ``TRANS_TOL``; the rest integrate the resolvent row of n on
+    Talbot's contour.  The gap between the 48- and 64-node rules is the
+    error estimate and must stay within ``TRANS_TOL`` = 1e-9 (relative,
+    floored at scale 1).
 
     Raises
     ------
     QuadratureNotConverged
         If a pole or arm that matters lies outside the contour at some
-        query time, or the two rules disagree.
+        query time, the two rules disagree, or a time below 1e-290 has
+        (lam + mu) t above ``TRANS_TOL``.
     ValueError
         If a state index exceeds the desk-scale cap of 64.
     """
@@ -350,12 +361,12 @@ def semigroup_check(
     return abs(float(row[0, r, 1]) - float(chain))
 
 
-def fitted_decay_rate(
-    p: QueueParams,
-    *,
-    points: int = 26,
-    window: tuple[float, float] = (5.0, 30.0),
-) -> float:
+#: the late window of the decay fit and its number of equispaced times
+_FIT_WINDOW = (5.0, 30.0)
+_FIT_POINTS = 26
+
+
+def fitted_decay_rate(p: QueueParams) -> float:
     """Exponential rate of the transient part of P_{0,0} on a late window.
 
     Subtracts every resolvent-pole mode (steady state and rotating modes)
@@ -370,12 +381,12 @@ def fitted_decay_rate(
         If the transient part drowns in round-off over most of the window.
     """
     validate_params(p)
-    ts = np.linspace(window[0], window[1], points)
+    ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
     vals = np.asarray(transition_spectral(p, TransitionQuery(0, 0, tuple(ts))).values)
     for z, _, res in resolvent_poles(p):
         vals = vals - (res[0] * np.exp((z - p.lam - p.mu) * ts)).real
     keep = vals > 0.0
-    if int(keep.sum()) < max(8, points // 2):
+    if int(keep.sum()) < max(8, _FIT_POINTS // 2):
         raise QuadratureNotConverged(
             "transient part of P_00 lost to round-off on the fit window"
         )

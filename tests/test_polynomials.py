@@ -7,7 +7,9 @@ from numpy.polynomial import Polynomial
 from bulkq.algebraic import AlgebraicConfig, star_geometry
 from bulkq.errors import NearSingularConfiguration
 from bulkq.model import QueueParams
+from bulkq.operators import OperatorSpec
 from bulkq.polynomials import (
+    band_poly,
     dual_explicit,
     dual_vector,
     explicit_coefficients,
@@ -309,6 +311,53 @@ def test_l_matches_fraction_oracle(lam, mu, m):
     for n in range(11):
         exact = np.array([float(x) for x in table[n]])
         got = np.asarray(l_poly(p, n).coeffs)
+        scale = np.max(np.abs(exact))
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12 * scale)
+
+
+def band_table_fractions(m, bands, nmax):
+    """P_n = ((gamma + x)/iota)**n for n <= m, then
+    iota P_{n+1} = (xi + x) P_n - eta P_{n-m}, exactly in the band values."""
+    g, i_, e, x = (Fraction(b) for b in bands)
+    table = [[Fraction(1)]]
+    for _ in range(min(m, nmax)):
+        table.append([c / i_ for c in _fmul(table[-1], [g, Fraction(1)])])
+    for n in range(m, nmax):
+        c = _fsub(_fmul(table[n], [x, Fraction(1)]), [e * y for y in table[n - m]])
+        table.append([y / i_ for y in c])
+    return table[: nmax + 1]
+
+
+@pytest.mark.parametrize("lam,mu,m", [(1.3, 0.7, 2), (0.4194807697969937, 0.09708687480463145, 6)])
+def test_band_oracle_is_q_bitwise(lam, mu, m):
+    # Q's bands (lam, lam, mu, lam + mu), the sum formed exactly
+    lam_f, mu_f = Fraction(lam), Fraction(mu)
+    table = band_table_fractions(m, (lam_f, lam_f, mu_f, lam_f + mu_f), 24)
+    for n in range(25):
+        got = q_poly(QueueParams(lam, mu, m), n)
+        hi = tuple(float(x) for x in table[n])
+        assert got.coeffs == hi
+        lo = tuple(float(x - Fraction(h)) for x, h in zip(table[n], hi))
+        assert got.coeffs_lo == (lo if any(lo) else ())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        OperatorSpec("T", AlgebraicConfig(c=0.7, m=3), 0),
+        OperatorSpec("T", AlgebraicConfig(c=1.0, m=1), 0),
+        OperatorSpec("L", QueueParams(0.8, 1.9, 3), 0),
+        OperatorSpec("L", QueueParams(1.3, 0.7, 2), 0),
+        OperatorSpec("H", QueueParams(1.0, 1.0, 2), 0, gamma=0.3, iota=1.1, eta=0.8, xi=0.2),
+        OperatorSpec("H", QueueParams(1.0, 1.0, 4), 0, gamma=-0.7, iota=0.9, eta=1.3, xi=0.45),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_band_poly_matches_fraction_oracle(spec):
+    table = band_table_fractions(spec.m, spec.bands(), 24)
+    for n in range(25):
+        exact = np.array([float(x) for x in table[n]])
+        got = np.asarray(band_poly(spec.m, spec.bands(), n).coeffs)
         scale = np.max(np.abs(exact))
         np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12 * scale)
 

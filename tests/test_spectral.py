@@ -200,10 +200,20 @@ def test_sigma_monomials_all_indices():
 
 
 def test_sigma_apply_ladder_failure():
-    # the 12-, 24- and 48-panel values differ in the last bits
-    with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 48 panels") as err:
+    # the 12-, 24-, 48- and 96-panel values differ in the last bits
+    with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 96 panels") as err:
         sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3, tol=0.0)
     assert _last_delta(err.value) > 0.0
+
+
+def test_sigma_apply_converges_where_48_panels_do_not():
+    # j = 2, 3 and 5 still move by 1.1e-9 to 2.6e-9 from 24 to 48 panels
+    p = QueueParams(0.4194807697969937, 0.09708687480463145, 6)
+    spec = OperatorSpec("A", p, 40)
+    for j in range(p.m):
+        got = sigma_apply(p, j, lambda x: x**2 + 1)
+        want = moment(spec, 2, j + 1) + moment(spec, 0, j + 1)
+        np.testing.assert_allclose(got, want, rtol=MOMENT_TOL, atol=MOMENT_TOL)
 
 
 @pytest.mark.parametrize(

@@ -69,6 +69,14 @@ def test_query_normalizes_times_to_floats():
     assert all(isinstance(t, float) for t in q.times)
 
 
+def test_query_normalizes_integral_states_to_ints():
+    q = TransitionQuery(0, 3.0, (1.0,))
+    assert (q.n, q.r) == (0, 3)
+    assert isinstance(q.r, int)
+    p = QueueParams(1, 2, 1)
+    assert transition_spectral(p, q) == transition_spectral(p, TransitionQuery(0, 3, (1.0,)))
+
+
 def test_result_validates_method_and_range():
     with pytest.raises(ValueError):
         TransitionResult((0.5,), "magic", (0.0,))
@@ -215,6 +223,24 @@ def test_pole_outside_contour_raises():
     p = QueueParams(1.0, 1.0 / 12, 12)
     with pytest.raises(QuadratureNotConverged, match="outside the Talbot contour"):
         transition_spectral(p, TransitionQuery(0, 0, (50.0,)))
+
+
+def test_time_below_contour_floor_is_identity():
+    # below 1e-290 the contour overflows; P(t) = I within (lam + mu) t
+    p = QueueParams(1.0, 2.0, 1)
+    for n, r, want in [(0, 0, 1.0), (3, 3, 1.0), (1, 0, 0.0), (2, 5, 0.0)]:
+        res = transition_spectral(p, TransitionQuery(n, r, (0.0, 1e-300, 1e-295)))
+        assert res.values == (want, want, want)
+        assert res.error_estimate == pytest.approx((0.0, 3e-300, 3e-295), rel=1e-15, abs=0.0)
+
+
+def test_time_below_contour_floor_raises_beyond_tolerance():
+    # (lam + mu) t = 2e-6 > TRANS_TOL: no answer from P(0) = I
+    p = QueueParams(1e285, 1e285, 1)
+    with pytest.raises(QuadratureNotConverged, match="t=1e-291 is below 1e-290, where the contour overflows"):
+        transition_spectral(p, TransitionQuery(0, 0, (1e-291,)))
+    # at 1e-295 the bound is 2e-10, within TRANS_TOL
+    assert transition_spectral(p, TransitionQuery(0, 0, (1e-295,))).error_estimate == (2e-10,)
 
 
 def test_long_time_limit():
