@@ -6,13 +6,12 @@ their branch points trace out an (m+1)-armed star, and the jump of the
 dominant branch across an open arm gives the densities of the spectral
 measures.
 
-Two normalizations ("frames") occur:
+Two normalizations occur, and both reach the solver as ``(c, m)`` alone:
 
-* T-frame: ``c = mu * lam**m`` and the variable is the spectral variable of
-  the reference three-band operator with unit superdiagonal.
-* A-frame: ``c = mu / lam`` and the variable is ``zeta = (x + lam + mu)/lam``
-  where ``x`` is the spectral variable of the queue generator.  Both frames
-  share the same reduced equation, so the solver only ever sees ``(c, m)``.
+* ``c = mu * lam**m``: the variable is the spectral variable of the
+  reference three-band operator with unit superdiagonal.
+* ``c = mu / lam``: the variable is ``zeta = (x + lam + mu)/lam`` where
+  ``x`` is the spectral variable of the queue generator.
 """
 
 from __future__ import annotations
@@ -43,19 +42,16 @@ _CLUSTER = 1e-6
 
 @dataclass(frozen=True)
 class AlgebraicConfig:
-    """Constant term ``c > 0``, degree parameter ``m >= 1`` and frame tag."""
+    """Constant term ``c > 0`` and degree parameter ``m >= 1``."""
 
     c: float
     m: int
-    frame: str = "T"
 
     def __post_init__(self) -> None:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.frame not in ("T", "A"):
-            raise ValueError(f"frame must be 'T' or 'A', got {self.frame!r}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +72,9 @@ class StarGeometry:
 
     The arms are the segments ``[0, arm_length * rotation**k]`` for
     k = 0..m; their tips are the branch points, where the two largest
-    roots collide in the double root ``m/(m+1)`` times the tip.  In the
-    A-frame the generator's spectral variable is ``lam * zeta - lam - mu``.
+    roots collide in the double root ``m/(m+1)`` times the tip.  With
+    ``c = mu / lam`` the generator's spectral variable is
+    ``lam * zeta - lam - mu``.
     """
 
     arm_count: int

@@ -131,9 +131,9 @@ def poisson_tail(k: int, a: float) -> float:
     return float(gammainc(k + 1, a))
 
 
-def poisson_quantile(a: float, tol: float) -> int:
-    """Smallest k with P[Poisson(a) > k] < tol."""
+def poisson_quantile(a: float, level: float) -> int:
+    """Smallest k with P[Poisson(a) > k] < level."""
     k = max(0, int(a))
-    while poisson_tail(k, a) >= tol:
+    while poisson_tail(k, a) >= level:
         k += 1
     return k

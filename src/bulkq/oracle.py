@@ -32,7 +32,6 @@ import numpy as np
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params
 from .transition import (
-    STATE_CAP,
     TransitionQuery,
     decay_rate,
     fitted_decay_rate,
@@ -59,7 +58,7 @@ __all__ = [
 LEAK_TOL = 1e-9
 #: hard ceiling for the auto-doubling truncation
 N_CAP = 4096
-#: series cut tolerance defaults
+#: Poisson tail at which the uniformization series is cut
 UNIF_TOL = 1e-10
 #: engine agreement targets of the cross-validation policy
 SPECTRAL_VS_EXPM = 1e-6
@@ -70,20 +69,11 @@ DECAY_MARGIN = -0.25
 DECAY_REL = 0.15
 
 
-def _substochastic(p: QueueParams, N: int) -> sparse.csr_matrix:
-    """S = I + A/q with q = lam + mu (nonnegative, rows sum to <= 1)."""
-    from scipy import sparse
-    a = np.array(build_generator(p, N).entries)
-    return sparse.csr_matrix(np.eye(N) + a / (p.lam + p.mu))
-
-
-def expm_uniformization(
-    p: QueueParams, N: int, t: float, tol: float = UNIF_TOL, *, rows: int | None = None
-) -> np.ndarray:
+def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = None) -> np.ndarray:
     """Truncated ``e^{tA}`` as a Poisson mixture of substochastic powers.
 
     The series ``sum_k e^{-qt}(qt)^k/k! S^k`` is cut once the Poisson tail
-    drops below ``tol``.  The first ``rows`` rows (default N//4) must keep
+    drops below ``UNIF_TOL``.  The first ``rows`` rows (default N//4) must keep
     their truncation leak below 1e-9; otherwise the truncation is doubled,
     up to 4096, before giving up.  The returned matrix is square with the
     final (possibly enlarged) truncation.
@@ -94,10 +84,9 @@ def expm_uniformization(
         If N violates the drift precondition, or the leak target is still
         missed at the cap.
     """
+    from scipy import sparse
     from scipy.special import gammaln
     validate_params(p)
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if N < 4 * (p.m + p.lam * t):
@@ -111,16 +100,18 @@ def expm_uniformization(
         if a == 0.0:
             out = np.eye(N)
         else:
-            ks = np.arange(poisson_quantile(a, tol) + 1)
+            ks = np.arange(poisson_quantile(a, UNIF_TOL) + 1)
             w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
-            s_mat = _substochastic(p, N)
+            # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1
+            gen = np.array(build_generator(p, N).entries)
+            s_mat = sparse.csr_matrix(np.eye(N) + gen / (p.lam + p.mu))
             term = np.eye(N)
             out = w[0] * term
             for wk in w[1:]:
                 term = term @ s_mat
                 out += wk * term
         leak = 1.0 - float(out[: min(rows, N)].sum(axis=1).min())
-        if leak <= LEAK_TOL + tol:
+        if leak <= LEAK_TOL + UNIF_TOL:
             return out
         if 2 * N > N_CAP:
             raise TruncationTooSmall(
@@ -189,17 +180,13 @@ def picard_solve(
                 f"(rule of thumb: K >= e*l*M*t + margin = {math.e * a:.0f} + margin)"
             )
     gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
-    y = np.zeros(N)
-    y[n] = 1.0
-    g = y.copy()
-    sups, bounds = [], []
-    for k in range(1, K + 1):
-        g = (t / k) * (gen_t @ g)
-        y = y + g
-        sups.append(float(np.max(np.abs(g))))
-        bounds.append(
-            0.0 if a == 0.0 else float(np.exp(k * math.log(a) - gammaln(k + 1)))
-        )
+    b = np.zeros(N)
+    b[n] = 1.0
+    y, sups = _picard(gen_t, b, t, K, track=True)
+    bounds = [
+        0.0 if a == 0.0 else float(np.exp(k * math.log(a) - gammaln(k + 1)))
+        for k in range(1, K + 1)
+    ]
     return PicardState(
         N=N,
         t=t,
@@ -210,14 +197,18 @@ def picard_solve(
     )
 
 
-def _picard_vector(gen_t: sparse.csr_matrix, b: np.ndarray, t: float, K: int) -> np.ndarray:
-    """One Picard solve from start vectors, the columns of ``b`` (no bookkeeping)."""
-    y = b.copy()
-    g = b.copy()
+def _picard(gen_t: sparse.csr_matrix, b: np.ndarray, t: float, K: int, track: bool = False):
+    """``b + g_1 + ... + g_K``, ``g_k = (t/k) A^T g_{k-1}``, for a vector or block ``b``.
+
+    With ``track``, also the sup norm of every increment (else an empty list).
+    """
+    y, g, sups = b.copy(), b, []
     for k in range(1, K + 1):
         g = (t / k) * (gen_t @ g)
         y = y + g
-    return y
+        if track:
+            sups.append(float(np.max(np.abs(g))))
+    return y, sups
 
 
 def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) -> np.ndarray:
@@ -237,7 +228,7 @@ def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) ->
     y = np.zeros((gen_t.shape[0], len(starts)))
     y[starts, np.arange(len(starts))] = 1.0
     for _ in range(legs):
-        y = _picard_vector(gen_t, y, dt, K)
+        y, _ = _picard(gen_t, y, dt, K)
     return y
 
 
@@ -363,13 +354,11 @@ def _grid_points(grid) -> list[tuple[int, int, float]]:
     """The (n, r, t) triples of ``grid``, checked before any engine runs."""
     pts = []
     for n, r, t in grid:
-        states_ok = all(float(k).is_integer() and 0 <= k <= STATE_CAP for k in (n, r))
-        if not (states_ok and math.isfinite(t) and t >= 0.0):
-            raise ValueError(
-                f"grid point (n, r, t) = ({n}, {r}, {t}) needs integer states in "
-                f"[0, {STATE_CAP}] and a finite t >= 0"
-            )
-        pts.append((int(n), int(r), float(t)))
+        try:
+            q = TransitionQuery(n, r, (t,))
+        except ValueError as exc:
+            raise ValueError(f"grid point (n, r, t) = ({n}, {r}, {t}): {exc}") from exc
+        pts.append((q.n, q.r, q.times[0]))
     return pts
 
 

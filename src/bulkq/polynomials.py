@@ -13,14 +13,15 @@ named families are its views:
 * ``Q_n``  — eigenvector polynomials of the queue generator, bands
   ``(lam, lam, mu, lam + mu)``, exact rational.
 * ``T_n``  — the monic normalization, bands ``(0, 1, c, 0)``; the
-  second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``.
+  second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``, and ``h_n``,
+  the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
+  h_n(z**(m+1))`` whose positive real zeros generate the star quadrature,
+  is every (m+1)-th of its coefficients.
 * ``L_n``  — the shifted monic frame ``L_n(z) = lam**n * Q_n(z - lam - mu)``,
   bands ``(-mu, 1, mu*lam**m, 0)``.
 
-Two tables keep their own recurrences: the dual vectors ``q_r`` (``m``
-components, the same band pattern read along rows instead of columns) and
-``h_n``, the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
-h_n(z**(m+1))`` whose positive real zeros generate the star quadrature.
+Only the dual vectors ``q_r`` (``m`` components, the same band pattern read
+along rows instead of columns) keep their own recurrence.
 
 Closed forms for ``Q_n`` and ``q_{j,r}`` in terms of the algebraic branches
 are provided alongside the recurrences so each route can audit the other.
@@ -337,7 +338,7 @@ def explicit_coefficients(p: QueueParams, z: complex) -> ExplicitCoefficients:
     lam, mu, m = p.lam, p.mu, p.m
     cred = mu / lam
     zeta = (z + lam + mu) / lam
-    cfg = AlgebraicConfig(c=cred, m=m, frame="A")
+    cfg = AlgebraicConfig(c=cred, m=m)
     omega = np.array(solve_branches(cfg, zeta).omega)
     top = omega ** (m + 1) - m * cred
     side = omega**m - 1.0
@@ -384,7 +385,8 @@ def dual_explicit(p: QueueParams, r: int, j: int, z: complex) -> complex:
 
     ``q_{j,r}(z) = (mu/lam) * sum_k (omega_k**m - 1) /
     (omega_k**(r-j) * (omega_k**(m+1) - m*mu/lam))`` over all m+1 branches.
-    Valid for ``r >= m - 1``; the recurrence route covers smaller r.
+    Valid for ``r >= m - 1``; the recurrence route covers smaller r.  This
+    is row j of :attr:`ExplicitCoefficients.b` against ``omega**(m - r)``.
     """
     m = p.m
     if not 0 <= j <= m - 1:
@@ -392,10 +394,7 @@ def dual_explicit(p: QueueParams, r: int, j: int, z: complex) -> complex:
     if r < m - 1:
         raise ValueError(f"closed form needs r >= m - 1 = {m - 1}, got {r}")
     ec = explicit_coefficients(p, z)
-    om = np.array(ec.omega)
-    cred = p.mu / p.lam
-    terms = (om**m - 1.0) / (om ** (r - j) * (om ** (m + 1) - m * cred))
-    return complex(cred * np.sum(terms))
+    return complex(np.sum(ec.b[j] * np.array(ec.omega) ** (m - r)))
 
 
 # --------------------------------------------------------------------------
@@ -420,25 +419,15 @@ def l_poly(p: QueueParams, n: int) -> Poly:
     return band_poly(p.m, (-p.mu, 1.0, p.mu * p.lam**p.m, 0.0), n)
 
 
-@functools.lru_cache(maxsize=64)
-def _h_table(cfg: AlgebraicConfig, nmax: int) -> tuple[np.ndarray, ...]:
-    m, c = cfg.m, cfg.c
-    table = [np.array([1.0]) for _ in range(min(m, nmax) + 1)]
-    for n in range(m, nmax):
-        lower = table[n - m]
-        if n % (m + 1) == m:
-            nxt = P.polysub(P.polymul(table[n], [0.0, 1.0]), c * lower)
-        else:
-            nxt = P.polysub(table[n], c * lower)
-        table.append(np.atleast_1d(nxt))
-    return tuple(table[: nmax + 1])
-
-
 def h_poly(cfg: AlgebraicConfig, n: int) -> Poly:
-    """The reduced polynomial with ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``."""
+    """The reduced polynomial with ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``.
+
+    Its coefficients are those of ``T_n`` from degree ``n mod (m+1)`` on,
+    every (m+1)-th one.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Poly.from_array(_h_table(cfg, n)[n])
+    return Poly.from_array(t_poly(cfg, n).coeffs[n % (cfg.m + 1) :: cfg.m + 1])
 
 
 def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:

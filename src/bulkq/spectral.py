@@ -17,13 +17,16 @@ from :func:`~bulkq.algebraic.star_geometry`.  Three layers:
   second-kind-over-derivative weights.
 
 The arm and the tube share one sin^2-graded panel rule (``_graded``) and
-one panel-doubling ladder (``_ladder``); the arm's boundary values come
-from one batched dominant-root solve, and the resolvent samples and its
-pole residues from one tail recurrence (``_tails``).  The tube serves
+one panel-doubling ladder (``_ladder``), which stops at the module's
+``MARKOV_TOL`` or ``SIGMA_TOL``; the arm's boundary values come from one
+batched dominant-root solve, and the resolvent samples and its pole
+residues from one tail recurrence (``_tails``).  The tube serves
 ``sigma_apply`` and ``bulkq validate``.  The resolvent's poles off the star,
 with their residues, are computed once per parameter set by the public
 ``resolvent_poles``: the tube adds the ones it leaves outside as atoms, and
-the transition module's contour guard and decay fit read the same set.
+the transition module's contour guard and decay fit read the same set.  A
+pole on an arm has a residue from each side; ``arm_pole_residues`` gives
+their mean to the decay fit.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .polynomials import h_poly, h_zeros
 
 __all__ = [
     "QuadratureRule",
+    "arm_pole_residues",
     "markov_residual",
     "resolvent_poles",
     "sigma_apply",
@@ -58,6 +62,10 @@ SIGMA_TOL = 1e-9
 MARKOV_TOL = 1e-10
 #: relative guard band around the star for Markov evaluation points
 SUPPORT_GUARD = 0.1
+#: a pole this close to the star, relative to the arm length, lies on it
+_ON_STAR = 1e-12
+#: offset to either side of an arm for an on-arm pole's residue, same scale
+_ARM_SIDE = 1e-7
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +145,7 @@ def _dist_to_star(geo: StarGeometry, z: complex) -> float:
     return best
 
 
-def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MARKOV_TOL) -> float:
+def markov_residual(cfg: AlgebraicConfig, j: int, z: complex) -> float:
     """Defect of the Markov representation of ``omega_0(z)**-j``.
 
     Compares the j-th reciprocal power of the dominant branch with the
@@ -151,7 +159,7 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
     InsideSupport
         If ``z`` is closer to the star than a tenth of the arm length.
     QuadratureNotConverged
-        If doubling panels never stabilizes the integral to ``tol``.
+        If doubling panels never stabilizes the integral to ``MARKOV_TOL``.
     """
     m = cfg.m
     if not 1 <= j <= m:
@@ -170,7 +178,7 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
         return sum(d ** (1 - j) * np.sum(dens * ws / (z - ts * d)) for d in rots)
 
     levels = (16, 32, 64, 128, 256, 512)
-    rhs = _ladder(levels, star_integral, tol, f"Markov integral at z={z}, j={j}")
+    rhs = _ladder(levels, star_integral, MARKOV_TOL, f"Markov integral at z={z}, j={j}")
     return abs(lhs - rhs)
 
 
@@ -178,7 +186,6 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex, *, tol: float = MA
 # tube contour around the star
 
 
-@lru_cache(maxsize=64)
 def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
     """Counterclockwise boundary of the eps-tube around the star.
 
@@ -268,17 +275,44 @@ def resolvent_poles(p: QueueParams) -> tuple[tuple[complex, float, np.ndarray], 
     m, lam, mu = p.m, p.lam, p.mu
     cfg = AlgebraicConfig(c=mu * lam**m, m=m)
     geo = star_geometry(cfg)
-    sites = [s for s in _pole_sites(p, geo) if s[2] > 1e-12 * geo.arm_length]
+    sites = [s for s in _pole_sites(p, geo) if s[2] > _ON_STAR * geo.arm_length]
     if not sites:
         return ()
     lz, zp, dist = (np.array(col) for col in zip(*sites))
     w0 = dominant_roots(cfg, zp)
     keep = np.abs(lz - w0) >= 1e-8 * lam
     lz, zp, dist, w0 = lz[keep], zp[keep], dist[keep], w0[keep]
-    q, _ = _tails(m, zp, w0, lz)
-    res = -q * (lz - w0) / (m * mu * lz ** (m - 1))
+    res = _pole_residues(m, mu, lz, zp, w0)
     res.setflags(write=False)
     return tuple((complex(z), float(d), res[:, k]) for k, (z, d) in enumerate(zip(zp, dist)))
+
+
+def arm_pole_residues(p: QueueParams) -> tuple[tuple[complex, np.ndarray], ...]:
+    """Resolvent poles on an arm of the star, as ``(z, residues)``.
+
+    For even m with ``0 < mu - lam < a`` the pole ``mu - lam`` (zeta = -1)
+    lies on the real arm, where :func:`resolvent_poles` drops it.  The
+    dominant branch jumps there, so the residue has one value per side, each
+    taken ``1e-7 a`` off the arm; this returns their mean (real for a real
+    pole).  A pole at the star's center is left out.
+    """
+    validate_params(p)
+    m, lam, mu = p.m, p.lam, p.mu
+    cfg = AlgebraicConfig(c=mu * lam**m, m=m)
+    geo = star_geometry(cfg)
+    out = []
+    for lz, zp, dist in _pole_sites(p, geo):
+        if dist <= _ON_STAR * geo.arm_length < abs(zp):
+            side = _ARM_SIDE * geo.arm_length * 1j * zp / abs(zp)
+            w0 = dominant_roots(cfg, np.array([zp + side, zp - side]))
+            out.append((zp, _pole_residues(m, mu, lz, zp, w0).mean(axis=1)))
+    return tuple(out)
+
+
+def _pole_residues(m: int, mu: float, lz, zp, w0) -> np.ndarray:
+    """Residues of fhat_1..fhat_m (axis 0) at the poles ``zp = mu + lz``, w0 the dominant root."""
+    q, _ = _tails(m, zp, w0, lz)
+    return -q * (lz - w0) / (m * mu * lz ** (m - 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +350,7 @@ def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
 # spectral functionals
 
 
-def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) -> float:
+def sigma_apply(p: QueueParams, j: int, f: Callable) -> float:
     """Apply the j-th spectral functional to an analytic function.
 
     ``sigma_0(1) = 1`` and ``sigma_j(1) = 0`` for j >= 1; applied to
@@ -325,7 +359,7 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
     is tolerated but slower).  The evaluation integrates ``f`` against
     the closed-form resolvent on a tube around the star and adds residue
     atoms for the poles left outside; panels are doubled until two
-    successive values agree to ``tol``.
+    successive values agree to ``SIGMA_TOL``.
 
     Raises
     ------
@@ -345,7 +379,7 @@ def sigma_apply(p: QueueParams, j: int, f: Callable, *, tol: float = SIGMA_TOL) 
         return p.lam**j * val
 
     levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS, 8 * BASE_PANELS)
-    return float(_ladder(levels, functional, tol, f"sigma_{j}").real)
+    return float(_ladder(levels, functional, SIGMA_TOL, f"sigma_{j}").real)
 
 
 # --------------------------------------------------------------------------

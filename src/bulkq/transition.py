@@ -8,8 +8,9 @@ chain rule share that evaluator.  It refuses a time at which a pole or arm
 that matters lies outside the contour (m = 12 at t = 50, say); m <= 6 is
 tested up to t = 100.  The guard's poles, from
 :func:`~bulkq.spectral.resolvent_poles`, and arm samples are built once per
-parameter set.  On top sit honesty (row sums), the chain rule, and the decay
-rate with a late-window fit of the transient part.
+parameter set.  :class:`TransitionQuery` alone checks the query domain,
+states up to ``STATE_CAP`` = 64.  On top sit honesty (row sums), the chain
+rule, and the decay rate with a late-window fit of the transient part.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .algebraic import AlgebraicConfig, dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
 from .model import QueueParams, poisson_quantile, poisson_tail, validate_params
-from .spectral import resolvent_poles
+from .spectral import arm_pole_residues, resolvent_poles
 
 __all__ = [
     "TransitionQuery",
@@ -68,10 +69,14 @@ def _check_args(states, times) -> None:
 class TransitionQuery:
     """Start state, end state, and the evaluation times.
 
+    The one check of the query domain; the CLI and ``cross_validate``
+    build every query before any engine runs.
+
     Parameters
     ----------
     n, r : int
-        Start and end states, both >= 0; integral floats become ints.
+        Start and end states, integers in [0, ``STATE_CAP``]; integral
+        floats become ints.
     times : sequence of float
         Nonempty, finite, nonnegative, sorted ascending.
     """
@@ -84,8 +89,11 @@ class TransitionQuery:
         ts = tuple(float(t) for t in self.times)
         object.__setattr__(self, "times", ts)
         _check_args([("n", self.n), ("r", self.r)], [("times", t) for t in ts])
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "r", int(self.r))
+        for label in ("n", "r"):
+            k = int(getattr(self, label))
+            if k > STATE_CAP:
+                raise ValueError(f"{label} must be <= {STATE_CAP}, got {k}")
+            object.__setattr__(self, label, k)
         if not ts:
             raise ValueError("need at least one evaluation time")
         if any(b < a for a, b in zip(ts, ts[1:])):
@@ -94,18 +102,15 @@ class TransitionQuery:
 
 @dataclass(frozen=True)
 class TransitionResult:
-    """Per-time values of P_{n,r} with the engine tag and error estimates.
+    """Per-time values of P_{n,r} with their error estimates.
 
-    The only tag is ``"spectral"``; values must land in [-1e-7, 1 + 1e-7].
+    Values must land in [-1e-7, 1 + 1e-7].
     """
 
     values: tuple[float, ...]
-    method: str
     error_estimate: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.method != "spectral":
-            raise ValueError(f"method must be 'spectral', got {self.method!r}")
         if len(self.values) != len(self.error_estimate):
             raise ValueError("values and error_estimate must have equal length")
         for v in self.values:
@@ -123,7 +128,7 @@ def decay_rate(p: QueueParams) -> float:
     sliver there, which is clamped.
     """
     validate_params(p)
-    arm = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A")).arm_length
+    arm = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m)).arm_length
     return min(-p.lam - p.mu + p.lam * arm, 0.0)
 
 
@@ -148,7 +153,7 @@ def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=64)
 def _singular_points(p: QueueParams) -> np.ndarray:
     """The resolvent poles and 65 samples per arm of the star, in the generator frame."""
-    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A"))
+    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m))
     arms = np.multiply.outer(geo.rotation ** np.arange(geo.arm_count), np.linspace(0, 1, 65))
     poles = [z for z, _, _ in resolvent_poles(p)]
     x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel()]) - p.lam - p.mu
@@ -188,7 +193,7 @@ def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     _guard(p, t)
     (s0, w0), (s1, w1) = _talbot(NODES, t), _talbot(NODES_CHECK, t)
     s = np.concatenate([s0, s1])
-    cfg = AlgebraicConfig(c=p.mu / p.lam, m=p.m, frame="A")
+    cfg = AlgebraicConfig(c=p.mu / p.lam, m=p.m)
     weights = np.stack([np.r_[w0, 0 * w1], np.r_[0 * w0, w1]])
     return s, weights, dominant_roots(cfg, (s + p.lam + p.mu) / p.lam)
 
@@ -282,23 +287,27 @@ def transition_spectral(p: QueueParams, q: TransitionQuery) -> TransitionResult:
         If a pole or arm that matters lies outside the contour at some
         query time, the two rules disagree, or a time below 1e-290 has
         (lam + mu) t above ``TRANS_TOL``.
-    ValueError
-        If a state index exceeds the desk-scale cap of 64.
     """
     validate_params(p)
-    for label, k in (("n", q.n), ("r", q.r)):
-        if k > STATE_CAP:
-            raise ValueError(f"{label} must be <= {STATE_CAP}, got {k}")
     vals, errs = _transition_block(p, [q.n], q.r, q.times)
     return TransitionResult(
         values=tuple(float(v) for v in vals[0, q.r]),
-        method="spectral",
         error_estimate=tuple(float(e) for e in errs[0, q.r]),
     )
 
 
 #: tail budget for the internal summation cutoff (below the honesty tol)
 _WORK_TAIL = 1e-9
+
+
+def _work_cutoff(p: QueueParams, n: int, t: float, label: str, cutoff: int, what: str) -> int:
+    """Last state summed from n at time t, if ``P[Pois(lam t) > cutoff - n] < TAIL_TOL``."""
+    tail = poisson_tail(cutoff - n, p.lam * t)
+    if tail >= TAIL_TOL:
+        raise TailNotControlled(
+            f"{what} {tail:.3e} above {TAIL_TOL:.0e} at cutoff {label}={cutoff}"
+        )
+    return int(min(cutoff, n + poisson_quantile(p.lam * t, _WORK_TAIL) + 2))
 
 
 def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
@@ -320,12 +329,7 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
     """
     validate_params(p)
     _check_args([("n", n), ("R", R)], [("t", t)])
-    tail = poisson_tail(R - n, p.lam * t)
-    if tail >= TAIL_TOL:
-        raise TailNotControlled(
-            f"Poisson tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff R={R}"
-        )
-    work = int(min(R, n + poisson_quantile(p.lam * t, _WORK_TAIL) + 2))
+    work = _work_cutoff(p, n, t, "R", R, "Poisson tail")
     vals, _ = _transition_block(p, [n], work, (t,))
     return float(np.sum(vals))
 
@@ -349,12 +353,7 @@ def semigroup_check(
     """
     validate_params(p)
     _check_args([("n", n), ("r", r), ("K", K)], [("s", s), ("t", t)])
-    tail = poisson_tail(K - n, p.lam * s)
-    if tail >= TAIL_TOL:
-        raise TailNotControlled(
-            f"intermediate tail {tail:.3e} above {TAIL_TOL:.0e} at cutoff K={K}"
-        )
-    work = int(min(K, n + poisson_quantile(p.lam * s, _WORK_TAIL) + 2))
+    work = _work_cutoff(p, n, s, "K", K, "intermediate tail")
     row, _ = _transition_block(p, [n], max(work, r), (s, s + t))
     block, _ = _transition_block(p, range(work + 1), r, (t,))
     chain = row[0, : work + 1, 0] @ block[:, r, 0]
@@ -370,7 +369,9 @@ def fitted_decay_rate(p: QueueParams) -> float:
     """Exponential rate of the transient part of P_{0,0} on a late window.
 
     Subtracts every resolvent-pole mode (steady state and rotating modes)
-    from P_{0,0}(t), each weighted by its atom in sigma_0, then least-squares fits
+    from P_{0,0}(t), each weighted by its atom in sigma_0, a pole on an arm
+    with the mean of its two one-sided residues
+    (:func:`~bulkq.spectral.arm_pole_residues`), then least-squares fits
     ``log y = c0 - (3/2) log t + rate * t + c1 / t``; the -3/2 power is the
     branch-point contribution at the arm tip.  Meaningful only for clearly
     subcritical parameters — the window cannot resolve rates near zero.
@@ -383,7 +384,8 @@ def fitted_decay_rate(p: QueueParams) -> float:
     validate_params(p)
     ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
     vals = np.asarray(transition_spectral(p, TransitionQuery(0, 0, tuple(ts))).values)
-    for z, _, res in resolvent_poles(p):
+    modes = [(z, res) for z, _, res in resolvent_poles(p)] + list(arm_pole_residues(p))
+    for z, res in modes:
         vals = vals - (res[0] * np.exp((z - p.lam - p.mu) * ts)).real
     keep = vals > 0.0
     if int(keep.sum()) < max(8, _FIT_POINTS // 2):

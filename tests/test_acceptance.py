@@ -182,7 +182,7 @@ def test_criterion_05_spectral_measures(capsys):
     worst_markov = worst_vanish = worst_match = 0.0
     for m, (lam, mu) in RATES.items():
         p = QueueParams(lam=lam, mu=mu, m=m)
-        cfg = AlgebraicConfig(c=mu / lam, m=m, frame="A")
+        cfg = AlgebraicConfig(c=mu / lam, m=m)
         geo = star_geometry(cfg)
         a = geo.arm_length
         arms = [

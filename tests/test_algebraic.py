@@ -117,7 +117,7 @@ def test_star_geometry_m1():
 def test_a_frame_support_is_classical_interval():
     # lam = mu = 1, m = 1: the generator's support should be [-4, 0]
     lam = mu = 1.0
-    geo = star_geometry(AlgebraicConfig(c=mu / lam, m=1, frame="A"))
+    geo = star_geometry(AlgebraicConfig(c=mu / lam, m=1))
     left = -lam - mu - lam * geo.arm_length
     right = -lam - mu + lam * geo.arm_length
     np.testing.assert_allclose([left, right], [-4.0, 0.0], atol=1e-12)

@@ -2,7 +2,9 @@
 and importing the package stays light."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import bulkq
+from bulkq.algebraic import AlgebraicConfig
 
 MODULES = ["bulkq"] + [f"bulkq.{info.name}" for info in pkgutil.iter_modules(bulkq.__path__)]
 
@@ -42,6 +45,25 @@ def test_no_module_imports_a_private_name_of_another():
                 if alias.name.startswith("_") and not alias.name.startswith("__")
             ]
     assert found == []
+
+
+def test_only_picard_solve_takes_a_tolerance():
+    # every other tolerance is a module constant read at call time; the
+    # Picard one switches on the tail certificate, a check of its own
+    takers = set()
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", []):
+            obj = getattr(module, attr)
+            if isinstance(obj, type) and issubclass(obj, Exception):
+                continue  # the error types take a message only
+            if callable(obj) and "tol" in inspect.signature(obj).parameters:
+                takers.add(attr)
+    assert takers == {"picard_solve"}
+
+
+def test_algebraic_config_is_c_and_m():
+    assert tuple(f.name for f in dataclasses.fields(AlgebraicConfig)) == ("c", "m")
 
 
 def test_import_leaves_scipy_unloaded():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from bulkq import algebraic
+from bulkq import algebraic, spectral
 from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
 from bulkq.errors import InsideSupport, QuadratureNotConverged
 from bulkq.model import QueueParams
@@ -15,6 +15,7 @@ from bulkq.spectral import (
     QuadratureRule,
     _arm_density,
     _fhat_block,
+    arm_pole_residues,
     markov_residual,
     resolvent_poles,
     sigma_apply,
@@ -122,10 +123,11 @@ def _last_delta(exc) -> float:
     return float(re.search(r"last delta ([^)]+)\)", str(exc)).group(1))
 
 
-def test_markov_residual_ladder_failure():
+def test_markov_residual_ladder_failure(monkeypatch):
     # no two of the 16..512-panel integrals agree exactly
+    monkeypatch.setattr(spectral, "MARKOV_TOL", 0.0)
     with pytest.raises(QuadratureNotConverged, match="still moving after 512 panels") as err:
-        markov_residual(AlgebraicConfig(c=1.0, m=2), 1, 3.0 + 1.0j, tol=0.0)
+        markov_residual(AlgebraicConfig(c=1.0, m=2), 1, 3.0 + 1.0j)
     assert _last_delta(err.value) > 0.0
 
 
@@ -199,10 +201,11 @@ def test_sigma_monomials_all_indices():
                 np.testing.assert_allclose(got, want, rtol=MOMENT_TOL, atol=MOMENT_TOL)
 
 
-def test_sigma_apply_ladder_failure():
+def test_sigma_apply_ladder_failure(monkeypatch):
     # the 12-, 24-, 48- and 96-panel values differ in the last bits
+    monkeypatch.setattr(spectral, "SIGMA_TOL", 0.0)
     with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 96 panels") as err:
-        sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3, tol=0.0)
+        sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3)
     assert _last_delta(err.value) > 0.0
 
 
@@ -247,6 +250,23 @@ def test_resolvent_poles_drop_poles_on_the_star():
     for lam, mu in [(1.0, 1.0), (0.6, 1.0)]:
         poles = resolvent_poles(QueueParams(lam, mu, 2))
         assert [z for z, _, _ in poles] == [mu + lam]
+
+
+def test_arm_pole_residues_take_the_mean_of_both_sides(monkeypatch):
+    # at (0.3, 1.0, 2) the pole mu - lam = 0.7 lies on the real arm
+    # (a = 0.848); the residues from its two sides are conjugate
+    p = QueueParams(0.3, 1.0, 2)
+    ((z, res),) = arm_pole_residues(p)
+    assert z == pytest.approx(0.7, rel=1e-14)
+    assert res.shape == (2,)
+    assert np.max(np.abs(res.imag)) <= 1e-12 * np.max(np.abs(res))
+    # the one-sided limits are reached: a hundred times closer moves nothing
+    monkeypatch.setattr(spectral, "_ARM_SIDE", 1e-9)
+    ((_, closer),) = arm_pole_residues(p)
+    np.testing.assert_allclose(closer, res, rtol=1e-6)
+    # off the star, or at its centre (lam = mu), there is no arm pole
+    for lam, mu, m in [(0.5, 1.5, 1), (1.0, 1.0, 2), (1.2, 0.8, 3), (0.9, 0.7, 4)]:
+        assert arm_pole_residues(QueueParams(lam, mu, m)) == ()
 
 
 def test_sigma_scalar_callable_fallback():

@@ -77,18 +77,19 @@ def test_query_normalizes_integral_states_to_ints():
     assert transition_spectral(p, q) == transition_spectral(p, TransitionQuery(0, 3, (1.0,)))
 
 
-def test_result_validates_method_and_range():
+def test_result_validates_length_and_range():
     with pytest.raises(ValueError):
-        TransitionResult((0.5,), "magic", (0.0,))
+        TransitionResult((0.5, 0.5), (0.0,))
     with pytest.raises(ValueError):
-        TransitionResult((0.5, 0.5), "spectral", (0.0,))
-    with pytest.raises(ValueError):
-        TransitionResult((1.5,), "spectral", (0.0,))
+        TransitionResult((1.5,), (0.0,))
 
 
 def test_state_cap():
-    with pytest.raises(ValueError):
-        transition_spectral(QueueParams(1.0, 1.0, 1), TransitionQuery(65, 0, (1.0,)))
+    # the query itself refuses a state above the cap, before any engine runs
+    for n, r in [(65, 0), (0, 65), (65.0, 0)]:
+        with pytest.raises(ValueError, match="must be <= 64"):
+            TransitionQuery(n, r, (1.0,))
+    assert TransitionQuery(64, 64, (1.0,)).r == STATE_CAP
 
 
 # ------------------------------------------------------------------- engine
@@ -117,7 +118,6 @@ def test_spec_point_m2():
 def test_multi_time_query_and_error_estimates():
     p = QueueParams(1.0, 1.0, 2)
     res = transition_spectral(p, TransitionQuery(3, 3, (0.0, 0.5, 1.0, 5.0)))
-    assert res.method == "spectral"
     assert len(res.values) == len(res.error_estimate) == 4
     assert res.values[0] == 1.0 and res.error_estimate[0] == 0.0
     assert all(e <= 1e-9 for e in res.error_estimate)
