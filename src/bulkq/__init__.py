@@ -8,7 +8,7 @@ Picard iteration, and discrete-event simulation.
 
 from .algebraic import AlgebraicConfig, solve_branches, star_geometry
 from .errors import BulkqError
-from .model import GeneratorMatrix, QueueParams, build_generator, validate_params
+from .model import QueueParams, build_generator, validate_params
 from .spectral import QuadratureRule, sigma_apply, star_quadrature
 from .oracle import (
     CrossReport,
@@ -26,6 +26,7 @@ from .transition import (
     decay_rate,
     honesty_check,
     semigroup_check,
+    transition_block,
     transition_spectral,
 )
 
@@ -35,7 +36,6 @@ __all__ = [
     "AlgebraicConfig",
     "BulkqError",
     "CrossReport",
-    "GeneratorMatrix",
     "McConfig",
     "McResult",
     "PicardState",
@@ -55,6 +55,7 @@ __all__ = [
     "solve_branches",
     "star_geometry",
     "star_quadrature",
+    "transition_block",
     "transition_spectral",
     "validate_params",
     "__version__",

@@ -29,7 +29,14 @@ from .operators import (
     lambda_conjugation_residual,
     moment,
 )
-from .oracle import McConfig, cross_validate, expm_uniformization, simulate_mc
+from .oracle import (
+    SPECTRAL_VS_EXPM,
+    McConfig,
+    cross_validate,
+    expm_uniformization,
+    simulate_mc,
+    truncation_size,
+)
 from .polynomials import (
     dual_explicit,
     dual_vector,
@@ -108,14 +115,13 @@ def main() -> None:
 @click.option("--output", "-o", default="-", show_default=True)
 def cmd_branches(m, c, z_values, star, output) -> None:
     """Solve the branch equation on a z-grid, or report the star geometry."""
-    if m < 1:
-        raise click.UsageError(f"batch size m must be >= 1, got {m}")
-    if not (math.isfinite(c) and c > 0.0):
-        raise click.UsageError(f"constant c must be positive and finite, got {c}")
+    try:
+        cfg = AlgebraicConfig(c=c, m=m)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     for z in z_values:
         if not math.isfinite(z):
             raise click.UsageError(f"evaluation points must be finite, got {z}")
-    cfg = AlgebraicConfig(c=c, m=m)
     echo = f"# bulkq branches m={m} c={_g17(c)}"
     if star:
         geo = star_geometry(cfg)
@@ -174,9 +180,7 @@ def cmd_transition(lam, mu, m, n_values, r_values, t_values, with_oracle, as_jso
         raise click.UsageError(str(exc))
     mats: dict[float, np.ndarray] = {}
     if with_oracle:
-        size = 64
-        while size < max(4 * (p.m + p.lam * ts[-1]), 2 * (max(n_values) + max(r_values) + 2)):
-            size *= 2
+        size = truncation_size(p, ts[-1], max(n_values) + max(r_values) + 2)
         for t in ts:
             mats[t] = expm_uniformization(p, size, t, rows=max(n_values) + 1)
     rows = []
@@ -338,7 +342,7 @@ def _suite_moments(m_max: int, rng: np.random.Generator) -> tuple[bool, str]:
     return worst <= 1e-7, f"max moment residual {worst:.2e}"
 
 
-def _suite_orthogonality(m_max: int, n_max: int, tol: float) -> tuple[bool, str]:
+def _suite_orthogonality(m_max: int, n_max: int) -> tuple[bool, str]:
     worst = 0.0
     top = min(n_max, 6)
     for m in range(1, m_max + 1):
@@ -363,10 +367,10 @@ def _suite_orthogonality(m_max: int, n_max: int, tol: float) -> tuple[bool, str]
                 pairing = biorthogonality_check(p, n, r, 70)
                 worst = max(worst, abs(pairing - (1.0 if n == r else 0.0)))
         worst = max(worst, lambda_conjugation_residual(p))
-    return worst <= tol, f"max orthogonality residual {worst:.2e}"
+    return worst <= SPECTRAL_VS_EXPM, f"max orthogonality residual {worst:.2e}"
 
 
-def _suite_transition_props(m_max: int, n_max: int, tol: float) -> tuple[bool, str]:
+def _suite_transition_props(m_max: int, n_max: int) -> tuple[bool, str]:
     worst = 0.0
     top = min(n_max, 6)
     for m in range(1, m_max + 1):
@@ -386,26 +390,22 @@ def _suite_transition_props(m_max: int, n_max: int, tol: float) -> tuple[bool, s
             return False, f"negative probability at m={m}"
         worst = max(worst, abs(honesty_check(p, 2, 1.5, 2 + 40) - 1.0))
         worst = max(worst, semigroup_check(p, 1, 2, 0.4, 0.6, 60))
-        # continuity at 0: the linear term (lam+mu)*eps must sit inside tol
+        # continuity at 0: the linear term (lam+mu)*eps must sit inside the bound
         start = transition_spectral(p, TransitionQuery(3, 3, (1e-8,))).values[0]
         worst = max(worst, abs(start - 1.0))
         if decay_rate(p) > 0.0:
             return False, f"positive decay rate at m={m}"
-    return worst <= tol, f"max property residual {worst:.2e}"
+    return worst <= SPECTRAL_VS_EXPM, f"max property residual {worst:.2e}"
 
 
 @main.command("validate")
 @click.option("--m-max", type=int, default=3, show_default=True)
 @click.option("--n-max", type=int, default=12, show_default=True)
-@click.option("--tol", type=float, default=1e-6, show_default=True,
-              help="tolerance for the integrated/property suites")
 @click.option("--seed", type=int, default=0, show_default=True)
-def cmd_validate(m_max, n_max, tol, seed) -> None:
+def cmd_validate(m_max, n_max, seed) -> None:
     """Run the full property battery; exit 0 only if every suite passes."""
     if m_max < 1 or n_max < 4:
         raise click.UsageError(f"need m-max >= 1 and n-max >= 4, got {m_max}, {n_max}")
-    if tol <= 0.0 or not math.isfinite(tol):
-        raise click.UsageError(f"tolerance must be positive, got {tol}")
     if seed < 0:
         raise click.UsageError(f"seed must be an integer >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -414,8 +414,8 @@ def cmd_validate(m_max, n_max, tol, seed) -> None:
         ("polynomials", lambda: _suite_polynomials(m_max, n_max, rng)),
         ("quadrature", lambda: _suite_quadrature(m_max, n_max)),
         ("moments", lambda: _suite_moments(m_max, rng)),
-        ("orthogonality", lambda: _suite_orthogonality(m_max, n_max, max(tol, 1e-6))),
-        ("transition properties", lambda: _suite_transition_props(m_max, n_max, tol)),
+        ("orthogonality", lambda: _suite_orthogonality(m_max, n_max)),
+        ("transition properties", lambda: _suite_transition_props(m_max, n_max)),
     ]
     failed = []
     for name, run in suites:
@@ -452,9 +452,7 @@ def cmd_simulate(lam, mu, m, start, t, reps, seed, compare, output) -> None:
         result = simulate_mc(p, cfg)
         ref = None
         if compare:
-            size = 64
-            while size < 4 * (p.m + p.lam * t) or size < 2 * len(result.freq):
-                size *= 2
+            size = truncation_size(p, t, len(result.freq))
             ref = expm_uniformization(p, size, t, rows=start + 1)[start]
     except ArithmeticError as exc:
         raise click.ClickException(f"engine failure: {exc}")

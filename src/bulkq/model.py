@@ -27,7 +27,6 @@ from .errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 
 __all__ = [
     "QueueParams",
-    "GeneratorMatrix",
     "validate_params",
     "build_generator",
     "poisson_tail",
@@ -59,24 +58,6 @@ class QueueParams:
         return math.isclose(self.lam, self.m * self.mu, rel_tol=1e-12)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorMatrix:
-    """A finite north-west section of the infinite generator.
-
-    Attributes
-    ----------
-    dim : int
-        Section size N.
-    entries : numpy.ndarray
-        N x N array with the three bands at offsets +1, 0 and -m.  The array
-        is frozen (non-writeable) after construction; interior rows sum to
-        zero exactly, the last row may leak probability (truncation).
-    """
-
-    dim: int
-    entries: np.ndarray
-
-
 def validate_params(p: QueueParams) -> None:
     """Check the model invariants, raising on the first violation.
 
@@ -95,14 +76,14 @@ def validate_params(p: QueueParams) -> None:
         raise ZeroBatchSize(f"batch size must be an integer >= 1, got {p.m}")
 
 
-def build_generator(p: QueueParams, N: int) -> GeneratorMatrix:
-    """Assemble the N x N section of the generator.
+def build_generator(p: QueueParams, N: int) -> np.ndarray:
+    """Assemble the N x N section of the generator, as a read-only array.
 
     Row ``i < m`` holds (-lam, lam) on the diagonal/superdiagonal; row
     ``i >= m`` holds mu at column ``i - m``, ``-(lam + mu)`` on the diagonal
-    and lam on the superdiagonal.  Bands that stick out of the section are
-    simply dropped, which makes the last row's sum negative; oracles
-    compensate by taking N large.
+    and lam on the superdiagonal.  Interior rows sum to zero exactly.  Bands
+    that stick out of the section are simply dropped, which makes the last
+    row's sum negative; oracles compensate by taking N large.
 
     Raises
     ------
@@ -120,7 +101,7 @@ def build_generator(p: QueueParams, N: int) -> GeneratorMatrix:
     a[idx[m:], idx[m:]] = -(lam + mu)
     a[idx[m:], idx[m:] - m] = mu
     a.flags.writeable = False
-    return GeneratorMatrix(dim=N, entries=a)
+    return a
 
 
 def poisson_tail(k: int, a: float) -> float:

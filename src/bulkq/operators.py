@@ -157,7 +157,7 @@ def dual_jump_check(p: QueueParams, r: int, N: int) -> float:
     """sup-norm residual of ``sum_j q_{j,r}(A) e_j = e_r``."""
     if N < (p.m + 1) * (r + 2):
         raise TruncationTooSmall(f"dual jump at r={r} needs N >= {(p.m + 1) * (r + 2)}")
-    acc = _dual_image(p, r, np.array(build_generator(p, N).entries))
+    acc = _dual_image(p, r, build_generator(p, N))
     acc[r] -= 1.0
     return float(np.max(np.abs(acc)))
 
@@ -168,7 +168,7 @@ def biorthogonality_check(p: QueueParams, n: int, r: int, N: int) -> float:
     need = (p.m + 1) * (max(n, r) + 2)
     if N < need:
         raise TruncationTooSmall(f"bi-orthogonality at (n={n}, r={r}) needs N >= {need}")
-    a = np.array(build_generator(p, N).entries)
+    a = build_generator(p, N)
     e0 = np.zeros(N)
     e0[0] = 1.0
     right = _apply_poly(a.T, np.asarray(q_poly(p, n).coeffs), e0)
@@ -255,7 +255,7 @@ def lambda_conjugation_residual(p: QueueParams, N: int = 60) -> float:
     offset powers ``lam**(j-i)`` with ``|j-i| <= m`` — no overflow for any
     section size.  Returns the max abs residual relative to the entry scale.
     """
-    a = np.array(build_generator(p, N).entries)
+    a = build_generator(p, N)
     lmat = build_matrix(OperatorSpec(kind="L", params=p, N=N))
     shifted = lmat - (p.lam + p.mu) * np.eye(N)
     jj, ii = np.meshgrid(np.arange(N), np.arange(N))

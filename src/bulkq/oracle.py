@@ -16,7 +16,7 @@ over a query grid and applies the package's tolerance policy.  Each oracle
 runs once per start state or per time, never once per grid cell: one
 uniformization matrix per time, one Picard block carrying every start as a
 column per time, one simulation per start covering all of its times, and
-one spectral query per (n, r) carrying all of that pair's times.
+one spectral block solve for the whole grid.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params
-from .transition import (
-    TransitionQuery,
-    decay_rate,
-    fitted_decay_rate,
-    transition_spectral,
-)
+from .transition import TransitionQuery, decay_rate, fitted_decay_rate, transition_block
 
 # scipy is imported where it is used: loading it costs about 25 MB and a
 # fifth of a second, which the spectral engine and most commands never need
@@ -48,6 +43,7 @@ __all__ = [
     "McConfig",
     "McResult",
     "CrossReport",
+    "truncation_size",
     "expm_uniformization",
     "picard_solve",
     "simulate_mc",
@@ -67,6 +63,19 @@ PICARD_VS_EXPM = 1e-8
 #: near criticality (rate -> 0) it is skipped rather than asserted
 DECAY_MARGIN = -0.25
 DECAY_REL = 0.15
+
+
+def truncation_size(p: QueueParams, t: float, states: int) -> int:
+    """Smallest power of two N >= 64 with N >= 4(m + lam t) and N >= 2 states.
+
+    The oracles' starting truncation for horizons up to t when the first
+    ``states`` states matter; :func:`expm_uniformization` doubles it further
+    if the leak demands.
+    """
+    N = 64
+    while N < max(4 * (p.m + p.lam * t), 2 * states):
+        N *= 2
+    return N
 
 
 def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = None) -> np.ndarray:
@@ -103,8 +112,7 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
             ks = np.arange(poisson_quantile(a, UNIF_TOL) + 1)
             w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
             # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1
-            gen = np.array(build_generator(p, N).entries)
-            s_mat = sparse.csr_matrix(np.eye(N) + gen / (p.lam + p.mu))
+            s_mat = sparse.csr_matrix(np.eye(N) + build_generator(p, N) / (p.lam + p.mu))
             term = np.eye(N)
             out = w[0] * term
             for wk in w[1:]:
@@ -179,7 +187,7 @@ def picard_solve(
                 f"tail certificate {tail:.2e} at K={K} not below {tol:.0e} "
                 f"(rule of thumb: K >= e*l*M*t + margin = {math.e * a:.0f} + margin)"
             )
-    gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
+    gen_t = sparse.csr_matrix(build_generator(p, N).T)
     b = np.zeros(N)
     b[n] = 1.0
     y, sups = _picard(gen_t, b, t, K, track=True)
@@ -350,16 +358,15 @@ class CrossReport:
     passed: bool
 
 
-def _grid_points(grid) -> list[tuple[int, int, float]]:
-    """The (n, r, t) triples of ``grid``, checked before any engine runs."""
-    pts = []
+def _grid_queries(grid) -> list[TransitionQuery]:
+    """One single-time query per (n, r, t) triple of ``grid``, built before any engine runs."""
+    queries = []
     for n, r, t in grid:
         try:
-            q = TransitionQuery(n, r, (t,))
+            queries.append(TransitionQuery(n, r, (t,)))
         except ValueError as exc:
             raise ValueError(f"grid point (n, r, t) = ({n}, {r}, {t}): {exc}") from exc
-        pts.append((q.n, q.r, q.times[0]))
-    return pts
+    return queries
 
 
 def _grouped(pairs) -> dict:
@@ -390,7 +397,7 @@ def cross_validate(
     Each engine runs once per time or per start, not per point: one
     uniformization matrix and one Picard block per time, one simulation
     per start over all of its times (every start reuses ``seed``), and
-    one spectral query per (n, r).
+    one :func:`~bulkq.transition.transition_block` call for the grid.
 
     Raises
     ------
@@ -405,7 +412,8 @@ def cross_validate(
     for label, k in (("mc_reps", mc_reps), ("seed", seed)):
         if not (isinstance(k, numbers.Integral) and k >= 0):
             raise ValueError(f"{label} must be an integer >= 0, got {k!r}")
-    pts = _grid_points(grid)
+    queries = _grid_queries(grid)
+    pts = [(q.n, q.r, q.times[0]) for q in queries]
     if not pts:
         return CrossReport(
             rows=(), max_spectral_diff=0.0, max_picard_diff=0.0,
@@ -413,17 +421,12 @@ def cross_validate(
         )
     n_max = max(n for n, _, _ in pts)
     r_max = max(r for _, r, _ in pts)
-    t_max = max(t for _, _, t in pts)
-    N = 64
-    floor = max(4 * (p.m + p.lam * t_max), 2 * (n_max + r_max + 2))
-    while N < floor:
-        N *= 2
+    N = truncation_size(p, max(t for _, _, t in pts), n_max + r_max + 2)
     starts_at = _grouped((t, n) for n, _, t in pts)
     times_from = _grouped((n, t) for n, _, t in pts)
-    times_of = _grouped(((n, r), t) for n, r, t in pts)
     mats = {t: expm_uniformization(p, N, t, rows=n_max + 1) for t in starts_at}
     N = max(mat.shape[0] for mat in mats.values())  # pick up any auto-doubling
-    gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
+    gen_t = sparse.csr_matrix(build_generator(p, N).T)
     pic: dict[tuple[int, float], np.ndarray] = {}
     for t, starts in starts_at.items():
         block = _picard_chain(p, gen_t, starts, t)
@@ -433,17 +436,14 @@ def cross_validate(
         for n, horizons in times_from.items():
             counts = _lockstep(p, n, horizons, mc_reps, seed)
             mc.update(((n, t), _mc_result(row, mc_reps)) for t, row in zip(horizons, counts))
-    spec: dict[tuple[int, int, float], float] = {}
-    for (n, r), ts in times_of.items():
-        values = transition_spectral(p, TransitionQuery(n, r, ts)).values
-        spec.update(((n, r, t), v) for t, v in zip(ts, values))
+    spec = [res.values[0] for res in transition_block(p, queries)]
     rows = []
     worst_spec = worst_pic = 0.0
     mc_hits = mc_cells = 0
-    for n, r, t in pts:
+    for (n, r, t), value in zip(pts, spec):
         unif = float(mats[t][n, r])
         pica = float(pic[n, t][r])
-        worst_spec = max(worst_spec, abs(spec[n, r, t] - unif))
+        worst_spec = max(worst_spec, abs(value - unif))
         worst_pic = max(worst_pic, abs(pica - unif))
         sim = math.nan
         if mc_reps > 0:
@@ -453,7 +453,7 @@ def cross_validate(
                 se = max(float(res.stderr[r]) if r < len(res.freq) else 0.0, 1e-12)
                 mc_cells += 1
                 mc_hits += abs(sim - unif) <= 3.0 * se
-        rows.append((n, r, t, spec[n, r, t], unif, pica, sim))
+        rows.append((n, r, t, value, unif, pica, sim))
     coverage = None if mc_cells == 0 else mc_hits / mc_cells
     passed = worst_spec <= SPECTRAL_VS_EXPM and worst_pic <= PICARD_VS_EXPM
     if coverage is not None:

@@ -29,6 +29,7 @@ from .spectral import arm_pole_residues, resolvent_poles
 __all__ = [
     "TransitionQuery",
     "TransitionResult",
+    "transition_block",
     "transition_spectral",
     "honesty_check",
     "semigroup_check",
@@ -271,29 +272,48 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
 # public engine
 
 
-def transition_spectral(p: QueueParams, q: TransitionQuery) -> TransitionResult:
-    """Evaluate P_{n,r}(t) at each query time by the spectral formula.
+def transition_block(p: QueueParams, queries) -> tuple[TransitionResult, ...]:
+    """Evaluate many queries by the spectral formula in one block solve.
 
-    Times equal to zero are answered exactly from P(0) = I, and times
-    below 1e-290 from P(t) = I with error estimate (lam + mu) t while that
-    is within ``TRANS_TOL``; the rest integrate the resolvent row of n on
-    Talbot's contour.  The gap between the 48- and 64-node rules is the
-    error estimate and must stay within ``TRANS_TOL`` = 1e-9 (relative,
-    floored at scale 1).
+    Returns one result per :class:`TransitionQuery`, in the order given.
+    One banded solve per node covers the distinct starts, every r up to
+    the largest one queried, and the union of the times.  A time of zero
+    is answered exactly, P(0) = I, and a time below 1e-290 by P(t) = I
+    with error estimate (lam + mu) t while that is within ``TRANS_TOL``.
+    The rest integrate resolvent rows on Talbot's contour; the gap between
+    the 48- and 64-node rules is the error estimate and must stay within
+    ``TRANS_TOL`` = 1e-9 (relative, floored at scale 1).
 
     Raises
     ------
     QuadratureNotConverged
-        If a pole or arm that matters lies outside the contour at some
-        query time, the two rules disagree, or a time below 1e-290 has
-        (lam + mu) t above ``TRANS_TOL``.
+        If at some time a pole or arm that matters lies outside the
+        contour, the two rules disagree in any solved cell, or a time
+        below 1e-290 has (lam + mu) t above ``TRANS_TOL``.
     """
     validate_params(p)
-    vals, errs = _transition_block(p, [q.n], q.r, q.times)
-    return TransitionResult(
-        values=tuple(float(v) for v in vals[0, q.r]),
-        error_estimate=tuple(float(e) for e in errs[0, q.r]),
-    )
+    queries = tuple(queries)
+    if not queries:
+        return ()
+    starts = sorted({q.n for q in queries})
+    times = sorted({t for q in queries for t in q.times})
+    block = _transition_block(p, starts, max(q.r for q in queries), times)
+    vals, errs = (a.tolist() for a in block)
+    row, col = {n: i for i, n in enumerate(starts)}, {t: k for k, t in enumerate(times)}
+    out = []
+    for q in queries:
+        v, e = vals[row[q.n]][q.r], errs[row[q.n]][q.r]
+        ks = [col[t] for t in q.times]
+        out.append(TransitionResult(tuple(v[k] for k in ks), tuple(e[k] for k in ks)))
+    return tuple(out)
+
+
+def transition_spectral(p: QueueParams, q: TransitionQuery) -> TransitionResult:
+    """P_{n,r}(t) at each query time: :func:`transition_block` of the one query.
+
+    Every r' <= r of the row of n is solved, and each must converge.
+    """
+    return transition_block(p, (q,))[0]
 
 
 #: tail budget for the internal summation cutoff (below the honesty tol)

@@ -22,14 +22,13 @@ def test_validate_rejects_zero_batch():
 
 def test_generator_rows_m2():
     g = build_generator(QueueParams(1.0, 1.0, 2), 5)
-    np.testing.assert_array_equal(g.entries[0], [-1.0, 1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(g.entries[2], [1.0, 0.0, -2.0, 1.0, 0.0])
+    np.testing.assert_array_equal(g[0], [-1.0, 1.0, 0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(g[2], [1.0, 0.0, -2.0, 1.0, 0.0])
 
 
 def test_generator_band_structure():
     p = QueueParams(1.7, 0.4, 3)
-    g = build_generator(p, 12)
-    a = g.entries
+    a = build_generator(p, 12)
     for i in range(12):
         for j in range(12):
             if j == i + 1:
@@ -48,14 +47,14 @@ def test_interior_row_sums_exact_zero():
     # with dyadic rates every entry and every partial sum is representable,
     # so the row cancellation lam + mu - (lam + mu) comes out exactly 0
     g = build_generator(QueueParams(1.25, 2.25, 2), 30)
-    sums = g.entries.sum(axis=1)
+    sums = g.sum(axis=1)
     assert np.all(sums[:-1] == 0.0)
     assert sums[-1] < 0.0  # truncation leak
 
 
 def test_interior_row_sums_tiny_for_generic_rates():
     g = build_generator(QueueParams(1.3, 2.2, 2), 30)
-    sums = g.entries.sum(axis=1)
+    sums = g.sum(axis=1)
     assert np.max(np.abs(sums[:-1])) < 1e-15 * (1.3 + 2.2)
     assert sums[-1] < 0.0
 
@@ -68,7 +67,7 @@ def test_truncation_too_small():
 def test_generator_is_immutable():
     g = build_generator(QueueParams(1.0, 1.0, 1), 5)
     with pytest.raises(ValueError):
-        g.entries[0, 0] = 99.0
+        g[0, 0] = 99.0
 
 
 def test_critical_flag():

@@ -189,5 +189,5 @@ def test_lambda_conjugation_exact(lam, mu, m):
 def test_generator_builder_agrees_with_operator_builder():
     p = QueueParams(0.9, 1.8, 2)
     np.testing.assert_array_equal(
-        build_matrix(OperatorSpec("A", p, 15)), build_generator(p, 15).entries
+        build_matrix(OperatorSpec("A", p, 15)), build_generator(p, 15)
     )

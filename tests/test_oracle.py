@@ -23,6 +23,7 @@ from bulkq.oracle import (
     expm_uniformization,
     picard_solve,
     simulate_mc,
+    truncation_size,
 )
 
 DENSE_TOL = 5e-10
@@ -31,6 +32,24 @@ PARAM_SETS = [
     QueueParams(lam=1.0, mu=1.0, m=2),
     QueueParams(lam=1.2, mu=0.8, m=3),
 ]
+
+
+@pytest.mark.parametrize(
+    "lam, m, t, states, want",
+    [
+        (1.0, 1, 0.0, 0, 64),
+        (1.0, 2, 2.0, 20, 64),
+        (1.0, 1, 15.0, 32, 64),  # both floors exactly 64
+        (1.0, 1, 15.25, 0, 128),  # 4 (m + lam t) = 65
+        (1.0, 1, 0.0, 33, 128),  # 2 states = 66
+        (1.2, 3, 30.0, 18, 256),
+        (0.5, 6, 100.0, 130, 512),
+        (1.0, 1, 1000.0, 0, 4096),
+    ],
+)
+def test_truncation_size_is_the_doubling_rule(lam, m, t, states, want):
+    # the smallest power of two from 64 up with N >= 4 (m + lam t) and N >= 2 states
+    assert truncation_size(QueueParams(lam=lam, mu=1.0, m=m), t, states) == want
 
 
 def test_expm_zero_time_is_identity():
@@ -43,7 +62,7 @@ def test_expm_matches_dense_expm():
     for p in PARAM_SETS:
         for t in (0.3, 1.0, 2.5):
             got = expm_uniformization(p, 128, t)
-            ref = dense_expm(np.array(build_generator(p, 128).entries) * t)
+            ref = dense_expm(build_generator(p, 128) * t)
             np.testing.assert_allclose(got[:30, :30], ref[:30, :30], atol=DENSE_TOL)
 
 
@@ -76,7 +95,7 @@ def test_expm_partial_sums_entrywise_monotone():
     p = QueueParams(lam=1.2, mu=0.8, m=3)
     N, t = 40, 1.5
     q = p.lam + p.mu
-    s_mat = np.eye(N) + np.array(build_generator(p, N).entries) / q
+    s_mat = np.eye(N) + build_generator(p, N) / q
     assert s_mat.min() >= 0.0
     a = q * t
     ks = np.arange(25)
@@ -144,7 +163,7 @@ def test_picard_block_columns_match_single_column():
     t, starts = 30.0, list(range(9))
     ref = expm_uniformization(p, 256, t, rows=len(starts))
     N = ref.shape[0]
-    gen_t = sparse.csr_matrix(np.array(build_generator(p, N).entries).T)
+    gen_t = sparse.csr_matrix(build_generator(p, N).T)
     block = _picard_chain(p, gen_t, starts, t)
     assert block.shape == (N, len(starts))
     for j, n in enumerate(starts):
@@ -342,7 +361,7 @@ def test_cross_validate_rejects_bad_mc_option(monkeypatch, option, match):
 
 def test_cross_validate_runs_each_oracle_once_per_start_or_time(monkeypatch):
     calls = Counter()
-    for name in ("transition_spectral", "_lockstep", "_picard_chain", "simulate_mc"):
+    for name in ("transition_block", "_lockstep", "_picard_chain", "simulate_mc"):
         def counted(*args, _name=name, _real=getattr(oracle, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -352,7 +371,7 @@ def test_cross_validate_runs_each_oracle_once_per_start_or_time(monkeypatch):
     grid = [(n, r, t) for n in range(9) for r in range(9) for t in (0.5, 1.0, 2.0)]
     rep = cross_validate(p, grid, mc_reps=200, seed=1)
     assert [row[:3] for row in rep.rows] == grid
-    assert calls == Counter(transition_spectral=81, _lockstep=9, _picard_chain=3)
+    assert calls == Counter(transition_block=1, _lockstep=9, _picard_chain=3)
 
 
 def test_cross_validate_mc_column_is_simulate_mc():

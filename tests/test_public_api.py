@@ -49,8 +49,14 @@ def test_no_module_imports_a_private_name_of_another():
 
 def test_only_picard_solve_takes_a_tolerance():
     # every other tolerance is a module constant read at call time; the
-    # Picard one switches on the tail certificate, a check of its own
-    takers = set()
+    # Picard one switches on the tail certificate, a check of its own.
+    # No command of the CLI takes one either.
+    from bulkq.cli import main
+
+    takers = {
+        f"bulkq {name}" for name, cmd in main.commands.items()
+        if any(param.name == "tol" for param in cmd.params)
+    }
     for name in MODULES:
         module = importlib.import_module(name)
         for attr in getattr(module, "__all__", []):

@@ -10,7 +10,7 @@ import scipy.linalg
 from bulkq import spectral
 from bulkq.errors import QuadratureNotConverged, TailNotControlled
 from bulkq.model import QueueParams, build_generator
-from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization
+from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization, truncation_size
 from bulkq.spectral import resolvent_poles
 from bulkq.transition import (
     STATE_CAP,
@@ -20,6 +20,7 @@ from bulkq.transition import (
     fitted_decay_rate,
     honesty_check,
     semigroup_check,
+    transition_block,
     transition_spectral,
 )
 
@@ -28,15 +29,13 @@ EXPM_N = 260  # truncation large enough that the compared entries are exact
 
 
 def expm_entry(p: QueueParams, n: int, r: int, t: float) -> float:
-    a = np.array(build_generator(p, EXPM_N).entries)
+    a = build_generator(p, EXPM_N)
     return float(scipy.linalg.expm(t * a)[n, r])
 
 
 def uniformization_rows(p: QueueParams, t: float) -> np.ndarray:
     """Rows 0..STATE_CAP of P(t), exact to far below SPECTRAL_VS_EXPM."""
-    size = 64
-    while size < max(4 * (p.m + p.lam * t), 4 * STATE_CAP + 4):
-        size *= 2
+    size = truncation_size(p, t, 2 * STATE_CAP + 2)
     return expm_uniformization(p, size, t, rows=STATE_CAP + 1)
 
 
@@ -75,6 +74,26 @@ def test_query_normalizes_integral_states_to_ints():
     assert isinstance(q.r, int)
     p = QueueParams(1, 2, 1)
     assert transition_spectral(p, q) == transition_spectral(p, TransitionQuery(0, 3, (1.0,)))
+
+
+@pytest.mark.parametrize(
+    "p", [QueueParams(1.0, 2.0, 1), QueueParams(1.2, 0.8, 3), QueueParams(1.0, 0.3, 6)]
+)
+def test_block_agrees_with_single_queries(p):
+    queries = [
+        TransitionQuery(0, 3, (0.5, 1.0, 2.0)),
+        TransitionQuery(7, 0, (0.1, 5.0)),
+        TransitionQuery(2, 9, (1.0,)),
+        TransitionQuery(0, 3, (0.5, 1.0, 2.0)),
+        TransitionQuery(5, 5, (0.0, 1e-300, 10.0)),
+    ]
+    got = transition_block(p, queries)
+    assert len(got) == len(queries) and got[3] == got[0]
+    for q, res in zip(queries, got):
+        one = transition_spectral(p, q)
+        np.testing.assert_allclose(res.values, one.values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(res.error_estimate, one.error_estimate, rtol=0, atol=1e-13)
+    assert transition_block(p, []) == ()
 
 
 def test_result_validates_length_and_range():
@@ -223,6 +242,15 @@ def test_pole_outside_contour_raises():
     p = QueueParams(1.0, 1.0 / 12, 12)
     with pytest.raises(QuadratureNotConverged, match="outside the Talbot contour"):
         transition_spectral(p, TransitionQuery(0, 0, (50.0,)))
+
+
+def test_block_raises_when_any_time_escapes():
+    # as above, but from one query among several that would converge alone
+    p = QueueParams(1.0, 1.0 / 12, 12)
+    queries = [TransitionQuery(0, 0, (1.0,)), TransitionQuery(3, 2, (50.0,))]
+    transition_spectral(p, queries[0])
+    with pytest.raises(QuadratureNotConverged, match="outside the Talbot contour"):
+        transition_block(p, queries)
 
 
 def test_time_below_contour_floor_is_identity():
