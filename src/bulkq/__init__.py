@@ -3,7 +3,7 @@
 The package computes the transition probabilities P_{n,r}(t) of the queue
 through a spectral representation built from the branches of an algebraic
 equation, and cross-validates them against a truncated matrix exponential,
-Picard iteration, and discrete-event simulation.
+Picard iteration, and Monte Carlo simulation.
 """
 
 from .algebraic import AlgebraicConfig, solve_branches, star_geometry

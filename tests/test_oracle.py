@@ -54,7 +54,7 @@ def test_truncation_size_is_the_doubling_rule(lam, m, t, states, want):
 
 def test_expm_zero_time_is_identity():
     p = QueueParams(lam=1.0, mu=1.0, m=2)
-    out = expm_uniformization(p, 40, 0.0)
+    out = expm_uniformization(p, 40, 0.0, rows=40)
     assert np.array_equal(out, np.eye(40))
 
 
@@ -89,6 +89,30 @@ def test_expm_rejects_bad_inputs():
         expm_uniformization(p, 8, 10.0)
 
 
+def test_expm_returns_only_the_requested_rows():
+    p = QueueParams(lam=1.2, mu=0.8, m=3)
+    assert expm_uniformization(p, 64, 1.0, rows=5).shape == (5, 64)
+    assert expm_uniformization(p, 64, 1.0).shape == (16, 64)  # N // 4 by default
+    assert expm_uniformization(p, 64, 0.0, rows=3).shape == (3, 64)
+
+
+@pytest.mark.parametrize(
+    "kwargs, label",
+    [
+        ({"N": 64, "rows": 0}, "rows"),
+        ({"N": 64, "rows": -3}, "rows"),
+        ({"N": 64, "rows": 2.5}, "rows"),
+        ({"N": 64, "rows": 4.0}, "rows"),
+        ({"N": 65.5}, "N"),
+        ({"N": 0}, "N"),
+    ],
+)
+def test_expm_rejects_bad_integer_arguments(kwargs, label):
+    p = QueueParams(lam=1.0, mu=1.0, m=1)
+    with pytest.raises(ValueError, match=f"^{label} must be an integer >= 1"):
+        expm_uniformization(p, t=1.0, **kwargs)
+
+
 def test_expm_partial_sums_entrywise_monotone():
     # every term of the Poisson mixture is a nonnegative matrix, so the
     # partial sums can only grow
@@ -113,7 +137,7 @@ def test_expm_auto_doubles_truncation():
     # checking all 48 rows at t=10 forces a leak failure and a retry at 96
     p = QueueParams(lam=1.0, mu=1.0, m=1)
     out = expm_uniformization(p, 48, 10.0, rows=48)
-    assert out.shape == (96, 96)
+    assert out.shape == (48, 96)
     np.testing.assert_allclose(out[:48].sum(axis=1), np.ones(48), atol=1e-8)
 
 
@@ -162,7 +186,7 @@ def test_picard_block_columns_match_single_column():
     p = QueueParams(lam=1.2, mu=0.8, m=3)
     t, starts = 30.0, list(range(9))
     ref = expm_uniformization(p, 256, t, rows=len(starts))
-    N = ref.shape[0]
+    N = ref.shape[1]
     gen_t = sparse.csr_matrix(build_generator(p, N).T)
     block = _picard_chain(p, gen_t, starts, t)
     assert block.shape == (N, len(starts))
@@ -179,6 +203,22 @@ def test_picard_rejects_bad_inputs():
         picard_solve(p, 0, 50, 1.0, -1)
     with pytest.raises(ValueError):
         picard_solve(p, 0, 50, -2.0, 10)
+
+
+@pytest.mark.parametrize(
+    "n, N, K, label",
+    [
+        (0, 50, 2.5, "K"),
+        (0, 50.0, 10, "N"),
+        (0, 0, 10, "N"),
+        (1.0, 50, 10, "n"),
+        (-1, 50, 10, "n"),
+    ],
+)
+def test_picard_rejects_bad_integer_arguments(n, N, K, label):
+    p = QueueParams(lam=1.0, mu=1.0, m=1)
+    with pytest.raises(ValueError, match=f"^{label} must be an integer >= "):
+        picard_solve(p, n, N, 1.0, K)
 
 
 def test_mc_zero_horizon_is_point_mass():
@@ -243,6 +283,13 @@ def test_mc_config_validation():
     for seed in (-1, 1.5):
         with pytest.raises(ValueError, match="seed"):
             McConfig(replications=10, seed=seed, start=0, horizon=1.0)
+    for start in (2.5, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="start"):
+            McConfig(replications=10, seed=1, start=start, horizon=1.0)
+    cfg = McConfig(replications=10, seed=1, start=2.0, horizon=1.0)
+    assert cfg.start == 2 and type(cfg.start) is int
+    res = simulate_mc(QueueParams(lam=1.0, mu=1.0, m=2), cfg)
+    assert res.freq.sum() == pytest.approx(1.0)
 
 
 def test_lockstep_zero_horizon_is_point_mass():
@@ -272,6 +319,56 @@ def test_lockstep_three_horizons_against_uniformization():
             if expect * reps < 10.0:
                 continue  # too little mass for the binomial error bar to mean much
             assert abs(res.freq[r] - expect) <= 3.0 * res.stderr[r]
+
+
+@pytest.mark.parametrize("reps", [1, 7, 20_000])
+@pytest.mark.parametrize("start", [1, 5])  # below and above m
+def test_lockstep_every_horizon_counts_every_replication(reps, start):
+    p = QueueParams(lam=1.2, mu=0.8, m=3)
+    horizons = (0.0, 0.5, 40.0)
+    counts = _lockstep(p, start, horizons, reps, 3)
+    assert counts.dtype == np.int64 and counts.min() >= 0
+    assert counts.shape[0] == len(horizons)
+    assert counts.shape[1] >= start + 1
+    assert np.array_equal(counts.sum(axis=1), np.full(len(horizons), reps))
+    assert counts[0, start] == reps  # nothing happens by time 0
+    if reps == 20_000:
+        # by t = 40 some run has climbed well past its start
+        assert counts.shape[1] > start + 1
+        assert counts[2, start + 1 :].sum() > 0
+
+
+def test_lockstep_below_m_is_poisson_arrivals():
+    # from 0 with m = 12 nothing leaves before state 12 is reached, so the
+    # state at h is Poisson(lam h) on k < 12 up to P(Pois(lam h) >= 12) <= 1.4e-6;
+    # this law does not go through uniformization, and mishandled self-loops
+    # (mu/(lam + mu) of the events below m) would break it
+    p = QueueParams(lam=1.0, mu=3.0, m=12)
+    horizons, reps, seeds = (0.5, 2.0), 100_000, range(10)
+    counts = np.zeros((len(horizons), 12), dtype=np.int64)
+    for seed in seeds:
+        c = _lockstep(p, 0, horizons, reps, seed)[:, :12]
+        counts[:, : c.shape[1]] += c
+    total = reps * len(seeds)
+    for row, h in zip(counts, horizons):
+        k = np.arange(12)
+        pmf = np.exp(-p.lam * h + k * math.log(p.lam * h) - special.gammaln(k + 1))
+        for obs, prob in zip(row, pmf):
+            if prob * total < 10.0:
+                continue
+            sigma = math.sqrt(total * prob * (1.0 - prob))
+            assert abs(obs - total * prob) <= 3.0 * sigma
+
+
+def test_simulate_mc_shares_no_code_with_uniformization(monkeypatch):
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the simulation reached the uniformization oracle")
+
+    monkeypatch.setattr(oracle, "build_generator", no_engine)
+    monkeypatch.setattr(oracle, "expm_uniformization", no_engine)
+    p = QueueParams(lam=1.0, mu=2.0, m=3)
+    res = simulate_mc(p, McConfig(replications=1000, seed=2, start=5, horizon=2.0))
+    assert res.freq.sum() == pytest.approx(1.0)
 
 
 def test_cross_validate_empty_grid_passes():
