@@ -38,6 +38,10 @@ __all__ = [
 EPS_ROOT = 1e-12
 #: roots this close (relative) form a cluster that Newton steps cannot refine
 _CLUSTER = 1e-6
+#: Newton steps from w = z before a node falls back to the companion matrix
+_NEWTON_STEPS = 8
+#: relative margin of the dominance certificate m c < (1 - margin) |w|**(m+1)
+_CERT_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -137,9 +141,19 @@ def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
 def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     """The largest-modulus branch at every point of ``zs``, in one batch.
 
-    The largest companion eigenvalue, two Newton steps and the residual
-    check of :func:`solve_branches`.  Polynomial values are carried divided
-    by ``max(1, |w|)**m``, so even a huge ``|z|`` cannot overflow.
+    Newton's method starts at ``w = z``, the branch that behaves like z at
+    infinity, and a node is accepted once its last Newton correction is
+    below ``EPS_ROOT`` relative and ``m c < (1 - 1e-6) |w|**(m+1)``.  That
+    inequality proves w the simple root of largest modulus: writing the
+    other roots as ``w y`` gives ``y**m + alpha (1 + y + ... + y**(m-1)) = 0``
+    with ``alpha = -c / w**(m+1)``, and a root on ``|y| = 1`` needs
+    ``|alpha| = |sin(phi/2) / sin(m phi/2)| >= 1/m``; from ``alpha = 0``,
+    where every y is 0, no root can reach the unit circle while
+    ``|alpha| < 1/m``.  Equivalently, ``|w|`` exceeds the modulus of the
+    double root at the tips of the star.  Only the nodes that fail the test,
+    on or near the star, take the largest companion eigenvalue.  Every node
+    then gets the two Newton steps and the residual check of
+    :func:`solve_branches`.
 
     Raises
     ------
@@ -148,26 +162,52 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     """
     m, c = cfg.m, cfg.c
     zs = np.asarray(zs, dtype=complex)
-    comp = np.zeros(zs.shape + (m + 1, m + 1), dtype=complex)
-    comp[..., 0, 0] = zs
-    comp[..., 0, m] = -c
-    comp[..., np.arange(1, m + 1), np.arange(m)] = 1.0
-    w = np.linalg.eigvals(comp)
-    w = np.take_along_axis(w, np.argmax(np.abs(w), axis=-1)[..., None], axis=-1)[..., 0]
-    for step in range(3):  # two Newton steps, then the residual
-        a = np.maximum(1.0, np.abs(w))
-        v = w / a
-        pw = (a * v - zs) * v**m + c * a**-m
-        if step < 2:
-            dpw = ((m + 1) * v - m * zs / a) * v ** (m - 1)
-            w = w - np.divide(pw, dpw, out=np.zeros_like(pw), where=dpw != 0)
-    rel = np.abs(pw) / a / (1.0 + np.abs(zs))
+    z = zs.ravel()
+    w = z.copy()
+    with np.errstate(all="ignore"):  # an iterate that leaves the floats fails the test
+        for _ in range(_NEWTON_STEPS):
+            step = _newton_step(w, z, c, m)[0]
+            w = w - step
+            small = np.abs(step) <= EPS_ROOT * np.abs(w)
+            if small.all():
+                break
+        proven = small & (np.abs(w) > (m * c / (1.0 - _CERT_MARGIN)) ** (1.0 / (m + 1)))
+    if not proven.all():
+        w[~proven] = _companion_dominant(c, m, z[~proven])
+    for _ in range(2):
+        w = w - _newton_step(w, z, c, m)[0]
+    rel = _newton_step(w, z, c, m)[1]
     if np.any(rel > EPS_ROOT):
-        k = np.unravel_index(np.argmax(rel), rel.shape)
+        k = int(np.argmax(rel))
         raise RootSolveFailure(
-            f"root residual {rel[k]:.3e} above target at z={zs[k]}, c={c}, m={m}"
+            f"root residual {rel[k]:.3e} above target at z={z[k]}, c={c}, m={m}"
         )
-    return w
+    return w.reshape(zs.shape)
+
+
+def _newton_step(w: np.ndarray, z: np.ndarray, c: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Newton's correction at every w, and the residual of w relative to its scale.
+
+    The scale is :func:`solve_branches`'s ``(1 + |z|) * max(1, |w|)**(m+1)``.
+    Polynomial values are carried divided by ``max(1, |w|)**m``, so even a
+    huge ``|z|`` cannot overflow.
+    """
+    a = np.maximum(1.0, np.abs(w))
+    v = w / a
+    pw = (a * v - z) * v**m + c * a**-m
+    dpw = ((m + 1) * v - m * z / a) * v ** (m - 1)
+    step = np.divide(pw, dpw, out=np.zeros_like(pw), where=dpw != 0)
+    return step, np.abs(pw) / a / (1.0 + np.abs(z))
+
+
+def _companion_dominant(c: float, m: int, zs: np.ndarray) -> np.ndarray:
+    """The largest-modulus eigenvalue of each point's companion matrix."""
+    comp = np.zeros(zs.shape + (m + 1, m + 1), dtype=complex)
+    comp[:, 0, 0] = zs
+    comp[:, 0, m] = -c
+    comp[:, np.arange(1, m + 1), np.arange(m)] = 1.0
+    w = np.linalg.eigvals(comp)
+    return w[np.arange(zs.size), np.argmax(np.abs(w), axis=-1)]
 
 
 def star_geometry(cfg: AlgebraicConfig) -> StarGeometry:

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QueueParams:
     """Arrival rate, batch-service rate, and batch size of the queue.
 

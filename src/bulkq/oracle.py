@@ -132,11 +132,13 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
             w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
             # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1
             s_mat = sparse.csr_matrix(np.eye(N) + build_generator(p, N) / (p.lam + p.mu))
-            term = head
-            out = w[0] * term
+            # the terms are carried transposed, S^T applied to them: dense @ CSR
+            # would transpose S on every term
+            s_t, term_t = s_mat.T, head.T
+            out = w[0] * head
             for wk in w[1:]:
-                term = term @ s_mat
-                out += wk * term
+                term_t = s_t @ term_t
+                out += wk * term_t.T
         leak = 1.0 - float(out.sum(axis=1).min())
         if leak <= LEAK_TOL + UNIF_TOL:
             return out

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as P
+
+# fractions and numpy.polynomial cost about 1.2 MB of resident memory
+# together; the functions that need them import them where they use them
 
 from .algebraic import AlgebraicConfig, solve_branches
 from .errors import NearSingularConfiguration, ZeroFindingFailure
@@ -147,6 +148,7 @@ class Poly:
     def __call__(self, x):
         val = _comp_horner(self.coeffs, x)
         if self.coeffs_lo:
+            from numpy.polynomial import polynomial as P
             val = val + P.polyval(np.asarray(x), np.asarray(self.coeffs_lo))
         return val
 
@@ -164,6 +166,8 @@ class Poly:
 
         Float coefficients have no residual and come through unchanged.
         """
+        from fractions import Fraction
+
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
         hi = [float(x) for x in c]
@@ -266,6 +270,8 @@ def band_poly(m: int, bands: tuple, n: int) -> Poly:
 @functools.lru_cache(maxsize=64)
 def _dual_table(p: QueueParams, rmax: int) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """Rows r = 0..rmax of the dual vectors, exact; each row has m lists."""
+    from fractions import Fraction
+
     lam, mu, m = Fraction(p.lam), Fraction(p.mu), p.m
     zero = [Fraction(0)]
     rows = [[[Fraction(1)] if j == r else zero for j in range(m)] for r in range(min(m - 1, rmax) + 1)]
@@ -295,6 +301,8 @@ def q_poly(p: QueueParams, n: int) -> Poly:
     Poly
         Exact real coefficients; degree n, leading coefficient ``lam**(-n)``.
     """
+    from fractions import Fraction
+
     validate_params(p)
     lam, mu = Fraction(p.lam), Fraction(p.mu)
     return band_poly(p.m, (lam, lam, mu, lam + mu), n)
@@ -452,6 +460,8 @@ def h_zeros(cfg: AlgebraicConfig, n: int) -> np.ndarray:
         If a zero refuses to polish to residual ``1e-10 * max|coeff|``, or
         drifts off the real axis.
     """
+    from numpy.polynomial import polynomial as P
+
     coeffs = np.asarray(h_poly(cfg, n).coeffs)
     d = len(coeffs) - 1
     if d == 0:

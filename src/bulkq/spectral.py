@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .algebraic import (
     AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, star_geometry,
@@ -435,6 +434,8 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
         If a weight comes out nonpositive or nonfinite (a zero of the
         reduced polynomial was not resolved cleanly).
     """
+    from numpy.polynomial import polynomial as P  # not at import: see polynomials.py
+
     m = cfg.m
     if n < m + 1:
         raise ValueError(f"n must be >= m+1 = {m + 1}, got {n}")

@@ -54,6 +54,8 @@ NODES_CHECK = 64
 #: Weideman-Trefethen contour s(th) = (NODES/t)(A th cot(B th) - C + i D th)
 _TALBOT_A, _TALBOT_B, _TALBOT_C, _TALBOT_D = 0.5017, 0.6407, 0.6122, 0.2645
 _T_MIN = 1e-290  # shorter times overflow the node scale NODES / t
+#: the two rules' nodes within a row of :func:`_nodes`
+_RULES = (slice(0, NODES // 2), slice(NODES // 2, None))
 
 
 def _check_args(states, times) -> None:
@@ -66,7 +68,7 @@ def _check_args(states, times) -> None:
             raise ValueError(f"{label} must be finite and >= 0, got {t}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionQuery:
     """Start state, end state, and the evaluation times.
 
@@ -79,7 +81,8 @@ class TransitionQuery:
         Start and end states, integers in [0, ``STATE_CAP``]; integral
         floats become ints.
     times : sequence of float
-        Nonempty, finite, nonnegative, sorted ascending.
+        Nonempty, finite, nonnegative, sorted ascending; a tuple of floats
+        is kept as it is, anything else is copied into one.
     """
 
     n: int
@@ -87,8 +90,10 @@ class TransitionQuery:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        ts = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", ts)
+        ts = self.times
+        if not (type(ts) is tuple and all(type(t) is float for t in ts)):
+            ts = tuple(float(t) for t in ts)
+            object.__setattr__(self, "times", ts)
         _check_args([("n", self.n), ("r", self.r)], [("times", t) for t in ts])
         for label in ("n", "r"):
             k = int(getattr(self, label))
@@ -101,7 +106,7 @@ class TransitionQuery:
             raise ValueError(f"times must be ascending, got {ts}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransitionResult:
     """Per-time values of P_{n,r} with their error estimates.
 
@@ -188,15 +193,14 @@ def _guard(p: QueueParams, t: float) -> None:
 def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Guarded contour data at one time, cached: callers must not mutate it.
 
-    Nodes of both rules side by side, one weight row per rule (zero on the
-    other rule's nodes), and the dominant root at every node.
+    One row of nodes, ``NODES`` then ``NODES_CHECK`` of them (the two
+    slices of ``_RULES``), their weights, and the dominant root at every node.
     """
     _guard(p, t)
     (s0, w0), (s1, w1) = _talbot(NODES, t), _talbot(NODES_CHECK, t)
     s = np.concatenate([s0, s1])
     cfg = AlgebraicConfig(c=p.mu / p.lam, m=p.m)
-    weights = np.stack([np.r_[w0, 0 * w1], np.r_[0 * w0, w1]])
-    return s, weights, dominant_roots(cfg, (s + p.lam + p.mu) / p.lam)
+    return s, np.concatenate([w0, w1]), dominant_roots(cfg, (s + p.lam + p.mu) / p.lam)
 
 
 def _resolvent_rows(
@@ -255,7 +259,8 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
         s, weights, omega = (np.stack(col) for col in zip(*(_nodes(p, times[k]) for k in live)))
         J = max(int(starts.max()) + 1, rmax + 1, p.m)
         y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())[: rmax + 1]
-        est = np.einsum("rakn,kqn->qark", y.reshape(y.shape[:2] + s.shape), weights).imag
+        y = y.reshape(y.shape[:2] + s.shape)
+        est = [np.einsum("rakn,kn->ark", y[..., q], weights[:, q]).imag for q in _RULES]
         gap = np.abs(est[0] - est[1])
         bad = np.argwhere(gap > TRANS_TOL * np.maximum(1.0, np.abs(est[0])))
         if bad.size:

@@ -1,14 +1,17 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bulkq import algebraic
 from bulkq.algebraic import (
     AlgebraicConfig,
     boundary_values,
+    dominant_roots,
     solve_branches,
     star_geometry,
 )
@@ -163,6 +166,82 @@ def test_strict_separation_off_the_star():
         w = solve_branches(cfg, z).omega
         assert abs(w[0]) > abs(w[1])
         checked += 1
+
+
+@pytest.fixture
+def fallback_points(monkeypatch):
+    """Every point that :func:`dominant_roots` sends to the companion eigensolve."""
+    seen = []
+    real = algebraic._companion_dominant
+
+    def counted(c, m, zs):
+        seen.extend(zs.tolist())
+        return real(c, m, zs)
+
+    monkeypatch.setattr(algebraic, "_companion_dominant", counted)
+    return seen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 20])
+def test_dominant_roots_agree_with_solve_branches(m, fallback_points):
+    cfg = AlgebraicConfig(c=0.7, m=m)
+    geo = star_geometry(cfg)
+    a, dirs = geo.arm_length, geo.rotation ** np.arange(m + 1)
+    rng = np.random.default_rng(m)
+    far = a * 10 ** rng.uniform(0.1, 4.0, 40) * np.exp(1j * rng.uniform(-np.pi, np.pi, 40))
+    ring = 1.0 + 1e-3 * np.exp(1j * np.pi * (np.arange(8) + 0.5) / 4)  # none on the arm
+    tips = np.multiply.outer(a * dirs, ring).ravel()
+    beside = np.multiply.outer(dirs, a * np.linspace(0.05, 0.95, 7) * (1.0 + 1e-3j)).ravel()
+    zs = np.concatenate([far, tips, beside])
+    got = dominant_roots(cfg, zs)
+    want = np.array([solve_branches(cfg, z).omega[0] for z in zs])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+    # beside an arm the top pair has nearly one modulus: no certificate there
+    assert set(beside.tolist()) <= set(fallback_points)
+    assert set(tips.tolist()) & set(fallback_points)
+    assert not set(far.tolist()) & set(fallback_points)
+    # where solve_branches overflows, against the expansion w = z - c z**-m
+    huge = 1e250 * np.exp(1j * np.linspace(-np.pi, np.pi, 9))
+    assert np.max(np.abs(dominant_roots(cfg, huge) - huge) / 1e250) <= 1e-13
+
+
+@pytest.mark.parametrize("z,k", [(0.1 + 0.725j, 2), (-0.925 + 0.15j, 1)])
+def test_dominant_roots_refuses_newton_on_a_smaller_root(z, k):
+    # from w = z Newton converges within a few steps to the k-th root in
+    # modulus; only the dominance certificate sends z to the eigensolve
+    cfg = AlgebraicConfig(c=0.5, m=3)
+    w = z
+    for _ in range(8):
+        w -= (w**4 - z * w**3 + 0.5) / (4 * w**3 - 3 * z * w**2)
+    omega = solve_branches(cfg, z).omega
+    assert abs(w - omega[k]) <= 1e-13
+    got = complex(dominant_roots(cfg, np.array([z]))[0])
+    assert abs(got - omega[0]) <= 1e-13 * abs(omega[0])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 20])
+def test_boundary_values_are_the_top_pair_on_the_arm(m, fallback_points):
+    cfg = AlgebraicConfig(c=0.7, m=m)
+    ts = star_geometry(cfg).arm_length * np.linspace(0.02, 0.98, 25)
+    plus, minus = boundary_values(cfg, ts)
+    assert np.all(plus.imag > 0)
+    np.testing.assert_array_equal(minus, plus.conj())
+    for t, wp in zip(ts, plus):
+        top = solve_branches(cfg, t).omega[:2]
+        assert min(abs(wp - w) for w in top) <= 1e-13 * abs(wp)
+    # Newton from a real t stays real, so every arm point takes the eigensolve
+    assert fallback_points == ts.tolist()
+
+
+def test_dominant_roots_raises_no_warning():
+    # at m = 12, |w|**(m+1) overflows for |w| above about 1e23
+    cfg = AlgebraicConfig(c=0.7, m=12)
+    a = star_geometry(cfg).arm_length
+    zs = np.array([0.0, 1e-300, 1e-300j, 0.5 * a, a, 1e23, -1e30j, 1e250, -1e250 + 1e250j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = dominant_roots(cfg, zs)
+    assert np.all(np.isfinite(w))
 
 
 def _dist_to_segment(z, p0, p1):

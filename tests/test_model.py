@@ -1,8 +1,27 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from bulkq.errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 from bulkq.model import QueueParams, build_generator, validate_params
+from bulkq.spectral import resolvent_poles
+
+
+def test_queue_params_hash_equality_and_pickling():
+    p = QueueParams(1.2, 0.8, 3)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and q is not p and hash(q) == hash(p)
+    assert p != QueueParams(1.2, 0.8, 2)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.lam = 2.0
+    # an equal copy is the same cache key
+    resolvent_poles(p)
+    hits = resolvent_poles.cache_info().hits
+    assert resolvent_poles(q) is resolvent_poles(p)
+    assert resolvent_poles.cache_info().hits == hits + 2
 
 
 def test_validate_smallest_legal_model():

@@ -82,3 +82,18 @@ def test_import_leaves_scipy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_leaves_fractions_and_numpy_polynomial_unloaded():
+    # together about 1.2 MB of resident memory that the transition engine
+    # never needs; the exact tables and the star quadrature import them
+    paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import sys, bulkq, bulkq.cli; "
+        "print(sorted(m for m in ('fractions', 'numpy.polynomial') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

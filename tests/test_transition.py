@@ -68,6 +68,21 @@ def test_query_normalizes_times_to_floats():
     assert all(isinstance(t, float) for t in q.times)
 
 
+def test_query_keeps_a_tuple_of_floats():
+    ts = (0.5, 3.0)
+    assert TransitionQuery(0, 0, ts).times is ts
+    q = TransitionQuery(0, 0, (1, 2))
+    assert q.times == (1.0, 2.0)
+    assert [type(t) for t in q.times] == [float, float]
+    assert [type(t) for t in TransitionQuery(0, 0, (np.float64(1.5),)).times] == [float]
+
+
+def test_query_and_result_hold_no_instance_dict():
+    q = TransitionQuery(0, 0, (1.0,))
+    res = transition_spectral(QueueParams(1.0, 2.0, 1), q)
+    assert not hasattr(q, "__dict__") and not hasattr(res, "__dict__")
+
+
 def test_query_normalizes_integral_states_to_ints():
     q = TransitionQuery(0, 3.0, (1.0,))
     assert (q.n, q.r) == (0, 3)
