@@ -44,7 +44,7 @@ from .polynomials import (
     q_explicit,
     q_poly,
 )
-from .spectral import markov_residual, sigma_apply, star_quadrature
+from .spectral import markov_residual, pairing_matrix, sigma_apply, star_quadrature
 from .transition import (
     TransitionQuery,
     decay_rate,
@@ -56,6 +56,14 @@ from .transition import (
 
 def _g17(x: float) -> str:
     return format(float(x) + 0.0, ".17g")  # + 0.0 folds -0.0 into 0
+
+
+def _vieta_residual(cfg: AlgebraicConfig, z: complex, omega) -> float:
+    """Largest coefficient gap between the monic polynomial with roots
+    ``omega`` and ``w**(m+1) - z w**m + c``, over ``max(1, |z|, c)``."""
+    target = np.zeros(cfg.m + 2, dtype=complex)
+    target[0], target[1], target[-1] = 1.0, -z, cfg.c
+    return float(np.max(np.abs(np.poly(omega) - target)) / max(1.0, abs(z), cfg.c))
 
 
 def _emit_csv(path: str | None, comment: str, header: list[str], rows) -> None:
@@ -137,12 +145,7 @@ def cmd_branches(m, c, z_values, star, output) -> None:
     try:
         for z in z_values:
             branches = solve_branches(cfg, z)
-            coeffs = np.poly(branches.omega)
-            target = np.zeros(m + 2, dtype=complex)
-            target[0], target[1], target[-1] = 1.0, -z, c
-            residual = float(
-                np.max(np.abs(coeffs - target)) / max(1.0, abs(z), c)
-            )
+            residual = _vieta_residual(cfg, z, branches.omega)
             row = [_g17(z)]
             for w in branches.omega:
                 row.extend([_g17(w.real), _g17(w.imag)])
@@ -245,11 +248,7 @@ def _suite_branches(m_max: int, rng: np.random.Generator) -> tuple[bool, str]:
                 mods = np.abs(branches.omega)
                 if np.any(mods[:-1] < mods[1:] - 1e-12):
                     return False, f"modulus ordering broken at m={m}, z={z}"
-                coeffs = np.poly(branches.omega)
-                target = np.zeros(m + 2, dtype=complex)
-                target[0], target[1], target[-1] = 1.0, -z, c
-                rel = np.max(np.abs(coeffs - target)) / max(1.0, abs(z), c)
-                worst = max(worst, float(rel))
+                worst = max(worst, _vieta_residual(cfg, z, branches.omega))
     return worst <= 1e-10, f"max Vieta residual {worst:.2e}"
 
 
@@ -348,17 +347,8 @@ def _suite_orthogonality(m_max: int, n_max: int) -> tuple[bool, str]:
     for m in range(1, m_max + 1):
         lam, mu = _battery_rates(m)
         p = QueueParams(lam=lam, mu=mu, m=m)
-        for n in range(top + 1):
-            qn = q_poly(p, n)
-            for r in range(top + 1):
-                dv = dual_vector(p, r)
-                acc = 0.0
-                for j in range(m):
-                    comp = dv.components[j]
-                    acc += sigma_apply(
-                        p, j, lambda x, qn=qn, comp=comp: qn(x) * comp(x)
-                    )
-                worst = max(worst, abs(acc - (1.0 if n == r else 0.0)))
+        gram = pairing_matrix(p, top + 1)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(top + 1)))))
         spec = OperatorSpec("A", p, 70)
         for n in (0, top // 2, top):
             worst = max(worst, basis_jump_check(spec, n))

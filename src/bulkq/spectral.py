@@ -20,19 +20,23 @@ The arm and the tube share one sin^2-graded panel rule (``_graded``) and
 one panel-doubling ladder (``_ladder``), which stops at the module's
 ``MARKOV_TOL`` or ``SIGMA_TOL``; the arm's boundary values come from one
 batched dominant-root solve, and the resolvent samples and its pole
-residues from one tail recurrence (``_tails``).  The tube serves
-``sigma_apply`` and ``bulkq validate``.  The resolvent's poles off the star,
-with their residues, are computed once per parameter set by the public
-``resolvent_poles``: the tube adds the ones it leaves outside as atoms, and
-the transition module's contour guard and decay fit read the same set.  A
-pole on an arm has a residue from each side; ``arm_pole_residues`` gives
-their mean to the decay fit.
+residues from one tail recurrence (``_tails``).  The tube is one weighted
+rule (``_tube_pack``): its nodes and residue atoms, each with a weight per
+functional, so that ``sigma_j(f) = Re sum f(x) weights[j]``.  That rule
+serves ``sigma_apply``, ``pairing_matrix`` (the bi-orthogonality pairing of
+``Q_n`` with the dual vectors, as one matrix) and ``bulkq validate``.  The
+resolvent's poles off the star, with their residues, are computed once per
+parameter set by the public ``resolvent_poles``: the tube adds the ones it
+leaves outside as atoms, and the transition module's contour guard and
+decay fit read the same set.  A pole on an arm has a residue from each
+side; ``arm_pole_residues`` gives their mean to the decay fit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -44,12 +48,13 @@ from .algebraic import (
 )
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, validate_params
-from .polynomials import h_poly, h_zeros
+from .polynomials import dual_vector, h_poly, h_zeros, q_poly
 
 __all__ = [
     "QuadratureRule",
     "arm_pole_residues",
     "markov_residual",
+    "pairing_matrix",
     "resolvent_poles",
     "sigma_apply",
     "star_quadrature",
@@ -86,11 +91,11 @@ def _graded(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, 
     return nodes.ravel(), (0.5 * (bb - aa) * gw).ravel()
 
 
-def _ladder(levels: tuple[int, ...], value: Callable, tol: float, what: str) -> complex:
+def _ladder(levels: tuple[int, ...], value: Callable, tol: float, what: str):
     """Evaluate ``value`` at each panel count in ``levels`` until two agree.
 
     Returns the first value within ``tol * max(1, |value|)`` of the one
-    before it.
+    before it; for an array value both sides are its largest entry.
 
     Raises
     ------
@@ -101,8 +106,8 @@ def _ladder(levels: tuple[int, ...], value: Callable, tol: float, what: str) -> 
     for panels in levels:
         val = value(panels)
         if prev is not None:
-            delta = abs(val - prev)
-            if delta <= tol * max(1.0, abs(val)):
+            delta = np.max(np.abs(val - prev))
+            if delta <= tol * max(1.0, np.max(np.abs(val))):
                 return val
         prev = val
     raise QuadratureNotConverged(
@@ -161,8 +166,8 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex) -> float:
         If doubling panels never stabilizes the integral to ``MARKOV_TOL``.
     """
     m = cfg.m
-    if not 1 <= j <= m:
-        raise ValueError(f"j must be in 1..{m}, got {j}")
+    if not (isinstance(j, numbers.Integral) and 1 <= j <= m):
+        raise ValueError(f"j must be an integer in 1..{m}, got {j!r}")
     z = complex(z)
     geo = star_geometry(cfg)
     if _dist_to_star(geo, z) <= SUPPORT_GUARD * geo.arm_length:
@@ -314,28 +319,31 @@ def _pole_residues(m: int, mu: float, lz, zp, w0) -> np.ndarray:
     return -q * (lz - w0) / (m * mu * lz ** (m - 1))
 
 
-@dataclass(frozen=True, eq=False)
-class _TubePack:
-    """Cached contour data for one parameter set and one resolution."""
-
-    z: np.ndarray
-    w: np.ndarray
-    fhat: np.ndarray  # (m, K)
-    atoms: tuple[tuple[complex, np.ndarray], ...]
-
-
 @lru_cache(maxsize=32)
-def _tube_pack(p: QueueParams, panels: int, order: int) -> _TubePack:
+def _tube_pack(p: QueueParams, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tube rule for sigma_0..sigma_{m-1} as nodes ``x`` and ``weights``.
+
+    ``x`` holds the tube nodes followed by the atoms (the resolvent poles the
+    tube leaves outside), shifted into the generator frame.  Row j of
+    ``weights`` (shape ``(m, len(x))``) is ``lam**j fhat_j dz / (2 pi i)`` on
+    the nodes and ``lam**j`` times the residue of fhat_j on the atoms, so
+    ``sigma_j(f) = Re sum f(x) weights[j]``.  Both arrays are read-only.
+    """
+    m = p.m
     eps = _pick_eps(p)
-    zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m), eps, panels, order)
-    atoms = tuple((z, res) for z, dist, res in resolvent_poles(p) if dist > eps)
-    return _TubePack(z=zs, w=ws, fhat=_fhat_block(p, zs), atoms=atoms)
+    zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**m, m=m), eps, panels, order)
+    atoms = [(z, res) for z, dist, res in resolvent_poles(p) if dist > eps]
+    x = np.append(zs, [z for z, _ in atoms]) - (p.lam + p.mu)
+    nodes = _fhat_block(p, zs) * ws / (2j * math.pi)
+    weights = np.column_stack([nodes] + [res for _, res in atoms])
+    weights *= p.lam ** np.arange(m)[:, None]
+    for cached in (x, weights):
+        cached.setflags(write=False)
+    return x, weights
 
 
 def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
     """Apply f to a complex array, falling back to a scalar loop."""
-    if z.size == 1:
-        return np.array([complex(f(complex(z.ravel()[0])))]).reshape(z.shape)
     try:
         out = np.asarray(f(z))
         if out.shape == z.shape:
@@ -349,36 +357,72 @@ def _eval_f(f: Callable, z: np.ndarray) -> np.ndarray:
 # spectral functionals
 
 
+def _tube_ladder(p: QueueParams, contract: Callable, what: str):
+    """``contract(x, weights)`` on the tube rule at ``BASE_PANELS`` and three doublings."""
+    levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS, 8 * BASE_PANELS)
+    return _ladder(
+        levels, lambda panels: contract(*_tube_pack(p, panels, GL_ORDER)), SIGMA_TOL, what
+    )
+
+
 def sigma_apply(p: QueueParams, j: int, f: Callable) -> float:
     """Apply the j-th spectral functional to an analytic function.
 
     ``sigma_0(1) = 1`` and ``sigma_j(1) = 0`` for j >= 1; applied to
     monomials the family reproduces the generator's moment table row by
     row.  ``f`` must accept a complex numpy array (a scalar-only callable
-    is tolerated but slower).  The evaluation integrates ``f`` against
-    the closed-form resolvent on a tube around the star and adds residue
-    atoms for the poles left outside; panels are doubled until two
-    successive values agree to ``SIGMA_TOL``.
+    is tolerated but slower).  The value is ``Re sum f(x) weights[j]`` over
+    one weighted rule: the nodes of a tube around the star, carrying the
+    closed-form resolvent, and the residue atoms of the poles the tube
+    leaves outside.  Panels are doubled until two successive values agree
+    to ``SIGMA_TOL``.
 
     Raises
     ------
+    ValueError
+        If ``j`` is not an integer in 0..m-1.
     QuadratureNotConverged
         If three doublings never stabilize the value.
     """
     validate_params(p)
-    if not 0 <= j <= p.m - 1:
-        raise ValueError(f"j must be in 0..{p.m - 1}, got {j}")
-    shift = p.lam + p.mu
+    if not (isinstance(j, numbers.Integral) and 0 <= j <= p.m - 1):
+        raise ValueError(f"j must be an integer in 0..{p.m - 1}, got {j!r}")
 
-    def functional(panels: int) -> complex:
-        pack = _tube_pack(p, panels, GL_ORDER)
-        val = np.sum(_eval_f(f, pack.z - shift) * pack.fhat[j] * pack.w) / (2j * math.pi)
-        for zp, res in pack.atoms:
-            val = val + res[j] * _eval_f(f, np.array([zp - shift]))[0]
-        return p.lam**j * val
+    def contract(x, weights):
+        return np.sum(_eval_f(f, x) * weights[j])
 
-    levels = (BASE_PANELS, 2 * BASE_PANELS, 4 * BASE_PANELS, 8 * BASE_PANELS)
-    return float(_ladder(levels, functional, SIGMA_TOL, f"sigma_{j}").real)
+    return float(_tube_ladder(p, contract, f"sigma_{j}").real)
+
+
+def pairing_matrix(p: QueueParams, N: int) -> np.ndarray:
+    """The bi-orthogonality pairing ``G[n, r] = sum_j sigma_j(Q_n q_{j,r})``, n, r < N.
+
+    In exact arithmetic ``G`` is the N x N identity.  Per ladder level every
+    ``Q_n`` and every dual component ``q_{j,r}`` is evaluated once on the
+    tube rule of :func:`sigma_apply`, and ``G = Re sum_j (Q weights[j]) D_j^T``
+    with ``Q[n] = Q_n(x)`` and ``D_j[r] = q_{j,r}(x)``.  The ladder compares
+    the largest entry change with ``SIGMA_TOL``.
+
+    Raises
+    ------
+    ValueError
+        If ``N`` is not an integer >= 1.
+    QuadratureNotConverged
+        If three doublings never stabilize the matrix.
+    """
+    validate_params(p)
+    if not (isinstance(N, numbers.Integral) and N >= 1):
+        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    qs = [q_poly(p, n) for n in range(N)]
+    duals = [dual_vector(p, r).components for r in range(N)]
+
+    def contract(x, weights):
+        qx = np.array([q(x) for q in qs])
+        return sum(
+            (qx * weights[j]) @ np.array([d[j](x) for d in duals]).T for j in range(p.m)
+        )
+
+    return _tube_ladder(p, contract, f"pairing matrix of size {N}").real
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,13 @@ from bulkq.operators import (
 )
 from bulkq.oracle import McConfig, cross_validate, expm_uniformization, picard_solve, simulate_mc
 from bulkq.polynomials import dual_explicit, dual_vector, h_zeros, q_explicit, q_poly
-from bulkq.spectral import _arm_density, markov_residual, sigma_apply, star_quadrature
+from bulkq.spectral import (
+    _arm_density,
+    markov_residual,
+    pairing_matrix,
+    sigma_apply,
+    star_quadrature,
+)
 from bulkq.transition import (
     decay_rate,
     fitted_decay_rate,
@@ -226,18 +232,8 @@ def test_criterion_05_spectral_measures(capsys):
 def test_criterion_06_integrated_orthogonality(capsys):
     worst = 0.0
     for m, (lam, mu) in RATES.items():
-        p = QueueParams(lam=lam, mu=mu, m=m)
-        for n in range(13):
-            qn = q_poly(p, n)
-            for r in range(13):
-                dv = dual_vector(p, r)
-                acc = 0.0
-                for j in range(m):
-                    comp = dv.components[j]
-                    acc += sigma_apply(
-                        p, j, lambda x, qn=qn, comp=comp: qn(x) * comp(x)
-                    )
-                worst = max(worst, abs(acc - (1.0 if n == r else 0.0)))
+        gram = pairing_matrix(QueueParams(lam=lam, mu=mu, m=m), 13)
+        worst = max(worst, float(np.max(np.abs(gram - np.eye(13)))))
     ok = worst <= 1e-6
     _report(capsys, 6, ok, f"max |pairing - delta| {worst:.2e} over n,r <= 12")
 

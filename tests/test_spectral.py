@@ -17,6 +17,7 @@ from bulkq.spectral import (
     _fhat_block,
     arm_pole_residues,
     markov_residual,
+    pairing_matrix,
     resolvent_poles,
     sigma_apply,
     star_quadrature,
@@ -75,14 +76,14 @@ def test_weight_total_mass_is_one_over_the_star():
 
 def test_weight_rho_j_positive_and_index_domain():
     # every index-j jump density, j = 1..m, is positive on the open arm;
-    # outside 1..m there is no index-j Markov representation
+    # outside the integers 1..m there is no index-j Markov representation
     for m, c in [(1, 1.0), (2, 1.0), (3, 0.7), (4, 1.6)]:
         cfg = AlgebraicConfig(c=c, m=m)
         for j in range(1, m + 1):
             assert np.all(_arm_density(cfg, j, 16, 24)[2] > 0.0)
     cfg = AlgebraicConfig(c=0.7, m=3)
-    for j in (0, 4):
-        with pytest.raises(ValueError):
+    for j in (0, 4, 1.5, 2.0):
+        with pytest.raises(ValueError, match="j must be an integer"):
             markov_residual(cfg, j, 5.0)
 
 
@@ -209,6 +210,16 @@ def test_sigma_apply_ladder_failure(monkeypatch):
     assert _last_delta(err.value) > 0.0
 
 
+def test_pairing_matrix_ladder_failure(monkeypatch):
+    # no two of the 12- to 96-panel matrices agree in every entry
+    monkeypatch.setattr(spectral, "SIGMA_TOL", 0.0)
+    with pytest.raises(
+        QuadratureNotConverged, match="pairing matrix of size 4 still moving after 96 panels"
+    ) as err:
+        pairing_matrix(QueueParams(1.0, 1.0, 2), 4)
+    assert _last_delta(err.value) > 0.0
+
+
 def test_sigma_apply_converges_where_48_panels_do_not():
     # j = 2, 3 and 5 still move by 1.1e-9 to 2.6e-9 from 24 to 48 panels
     p = QueueParams(0.4194807697969937, 0.09708687480463145, 6)
@@ -281,23 +292,31 @@ def test_spectral_functional_binding_and_validation():
     np.testing.assert_allclose(
         sigma_apply(p, 1, lambda x: x), moment(OperatorSpec("A", p, 40), 1, 2), atol=1e-8
     )
-    for j in (-1, p.m):
-        with pytest.raises(ValueError):
+    for j in (-1, p.m, 0.5, 1.0):
+        with pytest.raises(ValueError, match="j must be an integer"):
             sigma_apply(p, j, lambda x: x)
+    for n in (0, -1, 2.0, 2.5):
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            pairing_matrix(p, n)
+    assert pairing_matrix(p, np.int64(1)).shape == (1, 1)
 
 
 def test_integrated_biorthogonality_small_block():
-    # sum_j sigma_j(Q_n * q_{j,r}) = delta_{n,r}
-    p = QueueParams(1.0, 2.0, 2)
-    for n in range(5):
-        qn = q_poly(p, n)
-        for r in range(5):
-            dv = dual_vector(p, r)
-            acc = 0.0
-            for j in range(p.m):
-                comp = dv.components[j]
-                acc += sigma_apply(p, j, lambda x, qn=qn, comp=comp: qn(x) * comp(x))
-            np.testing.assert_allclose(acc, 1.0 if n == r else 0.0, atol=1e-6)
+    # sum_j sigma_j(Q_n * q_{j,r}) = delta_{n,r}, and the matrix route
+    # agrees with the functional applied cell by cell
+    for p in (QueueParams(1.0, 2.0, 2), QueueParams(1.2, 0.8, 3)):
+        gram = pairing_matrix(p, 5)
+        assert gram.dtype == float and gram.shape == (5, 5)
+        np.testing.assert_allclose(gram, np.eye(5), rtol=0, atol=1e-6)
+        for n in range(5):
+            qn = q_poly(p, n)
+            for r in range(5):
+                dv = dual_vector(p, r)
+                acc = 0.0
+                for j in range(p.m):
+                    comp = dv.components[j]
+                    acc += sigma_apply(p, j, lambda x, qn=qn, comp=comp: qn(x) * comp(x))
+                assert abs(gram[n, r] - acc) <= 1e-10, (p, n, r)
 
 
 def test_star_quadrature_frozen_m1():
