@@ -8,16 +8,17 @@ measures.
 
 Two normalizations occur, and both reach the solver as ``(c, m)`` alone:
 
-* ``c = mu * lam**m``: the variable is the spectral variable of the
-  reference three-band operator with unit superdiagonal.
-* ``c = mu / lam``: the variable is ``zeta = (x + lam + mu)/lam`` where
-  ``x`` is the spectral variable of the queue generator.
+* ``c = mu / lam``: the variable is ``zeta = (x + lam + mu)/lam``, x the
+  generator's spectral variable; queue-level code uses only this one.
+* ``c = mu * lam**m``: the variable ``lam zeta`` of the unit-superdiagonal
+  operator T, T's own normalization, used only where T is the subject.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ _CERT_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class AlgebraicConfig:
-    """Constant term ``c > 0`` and degree parameter ``m >= 1``."""
+    """Constant term ``c > 0`` and integer degree parameter ``m >= 1``."""
 
     c: float
     m: int
@@ -54,8 +55,8 @@ class AlgebraicConfig:
     def __post_init__(self) -> None:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"c must be positive and finite, got {self.c}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
+            raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .algebraic import AlgebraicConfig, solve_branches, star_geometry
 from .errors import NearSingularConfiguration
-from .model import QueueParams, validate_params
+from .model import QueueParams, branch_config, validate_params
 from .operators import (
     OperatorSpec,
     basis_jump_check,
@@ -240,8 +240,7 @@ def _suite_branches(m_max: int, rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for m in range(1, m_max + 1):
         lam, mu = _battery_rates(m)
-        for c in (mu / lam, mu * lam**m):
-            cfg = AlgebraicConfig(c=c, m=m)
+        for cfg in (branch_config(QueueParams(lam, mu, m)), AlgebraicConfig(c=mu * lam**m, m=m)):
             for _ in range(100):
                 z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
                 branches = solve_branches(cfg, z)
@@ -316,7 +315,7 @@ def _suite_moments(m_max: int, rng: np.random.Generator) -> tuple[bool, str]:
     for m in range(1, m_max + 1):
         lam, mu = _battery_rates(m)
         p = QueueParams(lam=lam, mu=mu, m=m)
-        cfg = AlgebraicConfig(c=mu / lam, m=m)
+        cfg = branch_config(p)
         geo = star_geometry(cfg)
         a = geo.arm_length
         arms = [

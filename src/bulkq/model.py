@@ -19,14 +19,18 @@ checks and the oracles.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .algebraic import AlgebraicConfig
 from .errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 
 __all__ = [
     "QueueParams",
+    "branch_config",
+    "require_int",
     "validate_params",
     "build_generator",
     "poisson_tail",
@@ -58,6 +62,25 @@ class QueueParams:
         return math.isclose(self.lam, self.m * self.mu, rel_tol=1e-12)
 
 
+def branch_config(p: QueueParams) -> AlgebraicConfig:
+    """The queue's branch equation: ``c = mu/lam``, in ``zeta = (x + lam + mu)/lam``."""
+    return AlgebraicConfig(c=p.mu / p.lam, m=p.m)
+
+
+def require_int(label: str, k, low: int, high: int | None = None) -> None:
+    """Raise ValueError naming ``label`` unless ``k`` is an integer in ``low..high``.
+
+    An integer is a :class:`numbers.Integral` other than ``bool``; a float
+    such as 2.0 is refused.  ``high=None`` leaves the range open above.
+    """
+    if not (
+        isinstance(k, numbers.Integral) and not isinstance(k, bool)
+        and low <= k and (high is None or k <= high)
+    ):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{label} must be an integer {span}, got {k!r}")
+
+
 def validate_params(p: QueueParams) -> None:
     """Check the model invariants, raising on the first violation.
 
@@ -66,14 +89,16 @@ def validate_params(p: QueueParams) -> None:
     NonPositiveRate
         If ``lam`` or ``mu`` is not a positive finite number.
     ZeroBatchSize
-        If ``m < 1``.
+        If ``m`` is not an integer >= 1 (a float or a bool is refused).
     """
     if not (math.isfinite(p.lam) and p.lam > 0):
         raise NonPositiveRate(f"arrival rate must be positive and finite, got {p.lam}")
     if not (math.isfinite(p.mu) and p.mu > 0):
         raise NonPositiveRate(f"service rate must be positive and finite, got {p.mu}")
-    if int(p.m) != p.m or p.m < 1:
-        raise ZeroBatchSize(f"batch size must be an integer >= 1, got {p.m}")
+    try:
+        require_int("batch size", p.m, 1)
+    except ValueError as exc:
+        raise ZeroBatchSize(str(exc)) from None
 
 
 def build_generator(p: QueueParams, N: int) -> np.ndarray:

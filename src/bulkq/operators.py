@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebraic import AlgebraicConfig
 from .errors import InsideSupport, TruncationNotConverged, TruncationTooSmall
-from .model import QueueParams, build_generator, validate_params
+from .model import QueueParams, build_generator, require_int, validate_params
 from .polynomials import band_poly, dual_vector, q_poly
 
 __all__ = [
@@ -131,6 +131,7 @@ def basis_jump_check(spec: OperatorSpec, n: int) -> float:
     Requires ``N >= (m+1)(n+2)`` so no truncated band can reach back into
     the compared entries.
     """
+    require_int("n", n, 0)
     if spec.N < (spec.m + 1) * (n + 2):
         raise TruncationTooSmall(
             f"basis jump at n={n} needs N >= {(spec.m + 1) * (n + 2)}, got {spec.N}"
@@ -181,8 +182,8 @@ def moment(spec: OperatorSpec, nu: int, j: int) -> float:
     The truncation must satisfy ``N >= (nu+1)(m+1) + m`` so the answer
     equals the infinite-operator value exactly (band reachability).
     """
-    if not 1 <= j <= spec.m:
-        raise ValueError(f"j must be in 1..{spec.m}, got {j}")
+    require_int("nu", nu, 0)
+    require_int("j", j, 1, spec.m)
     need = (nu + 1) * (spec.m + 1) + spec.m
     if spec.N < need:
         raise TruncationTooSmall(f"moment nu={nu} needs N >= {need}, got {spec.N}")
@@ -230,8 +231,7 @@ def resolvent(spec: OperatorSpec, j: int, z: complex) -> ResolventSample:
     TruncationNotConverged
         If doubling up to 8N never stabilizes the value.
     """
-    if not 1 <= j <= spec.m:
-        raise ValueError(f"j must be in 1..{spec.m}, got {j}")
+    require_int("j", j, 1, spec.m)
     if any(abs(z - c) <= r for c, r in _support_discs(spec)):
         raise InsideSupport(f"z={z} is inside the support bound of {spec.kind}")
     N = max(spec.N, (spec.m + 1) * (j + 2))

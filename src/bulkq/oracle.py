@@ -29,7 +29,6 @@ covering all of its times, and one spectral block solve for the whole grid.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -37,7 +36,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
-from .model import QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params
+from .model import (
+    QueueParams, build_generator, poisson_quantile, poisson_tail, require_int, validate_params,
+)
 from .transition import TransitionQuery, decay_rate, fitted_decay_rate, transition_block
 
 # scipy is imported where it is used: loading it costs about 25 MB and a
@@ -70,12 +71,6 @@ PICARD_VS_EXPM = 1e-8
 #: near criticality (rate -> 0) it is skipped rather than asserted
 DECAY_MARGIN = -0.25
 DECAY_REL = 0.15
-
-
-def _require_int(label: str, k, low: int) -> None:
-    """Raise ValueError naming ``label`` unless ``k`` is an integer >= ``low``."""
-    if not (isinstance(k, numbers.Integral) and k >= low):
-        raise ValueError(f"{label} must be an integer >= {low}, got {k!r}")
 
 
 def truncation_size(p: QueueParams, t: float, states: int) -> int:
@@ -112,10 +107,10 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
     from scipy import sparse
     from scipy.special import gammaln
     validate_params(p)
-    _require_int("N", N, 1)
+    require_int("N", N, 1)
     if rows is None:
         rows = max(1, N // 4)
-    _require_int("rows", rows, 1)
+    require_int("rows", rows, 1)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"t must be finite and >= 0, got {t}")
     if N < 4 * (p.m + p.lam * t):
@@ -198,9 +193,9 @@ def picard_solve(
     from scipy import sparse
     from scipy.special import gammaln
     validate_params(p)
-    _require_int("N", N, 1)
-    _require_int("n", n, 0)
-    _require_int("K", K, 0)
+    require_int("N", N, 1)
+    require_int("n", n, 0)
+    require_int("K", K, 0)
     if n >= N:
         raise ValueError(f"need 0 <= n < N, got n={n}, N={N}")
     if not (math.isfinite(t) and t >= 0.0):
@@ -280,8 +275,8 @@ class McConfig:
     horizon: float
 
     def __post_init__(self) -> None:
-        _require_int("replications", self.replications, 1)
-        _require_int("seed", self.seed, 0)
+        require_int("replications", self.replications, 1)
+        require_int("seed", self.seed, 0)
         if not (self.start >= 0 and float(self.start).is_integer()):
             raise ValueError(f"start state must be an integer >= 0, got {self.start}")
         object.__setattr__(self, "start", int(self.start))
@@ -446,8 +441,8 @@ def cross_validate(
     """
     from scipy import sparse
     validate_params(p)
-    _require_int("mc_reps", mc_reps, 0)
-    _require_int("seed", seed, 0)
+    require_int("mc_reps", mc_reps, 0)
+    require_int("seed", seed, 0)
     queries = _grid_queries(grid)
     pts = [(q.n, q.r, q.times[0]) for q in queries]
     if not pts:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebraic import AlgebraicConfig, solve_branches
 from .errors import NearSingularConfiguration, ZeroFindingFailure
-from .model import QueueParams, validate_params
+from .model import QueueParams, branch_config, require_int, validate_params
 
 __all__ = [
     "Poly",
@@ -216,7 +216,8 @@ class ExplicitCoefficients:
 
 
 # --------------------------------------------------------------------------
-# coefficient tables (ascending powers), cached per band or parameter set
+# coefficient tables (ascending powers), one per band or parameter set; each
+# grows to the largest index asked of it and serves every smaller one
 # --------------------------------------------------------------------------
 
 
@@ -237,22 +238,16 @@ def _exact_axpy(a, scale, b):
 
 
 @functools.lru_cache(maxsize=64)
-def _band_table(m: int, bands: tuple, nmax: int) -> tuple[tuple, ...]:
-    """Coefficients of P_0..P_nmax for the bands ``(gamma, iota, eta, xi)``.
+def _band_table(m: int, bands: tuple) -> list[list]:
+    """The growing table of P_0, P_1, ... for the bands ``(gamma, iota, eta, xi)``.
 
-    Runs in the arithmetic of the band values.  Over Fractions the table is
-    exact, which is what keeps ``Q_n`` accurate at n ~ 20-40: the
-    recurrence has heavy coefficient growth, and rounding inside it would
-    cost ~n*eps times the (often huge) monomial condition number.
+    :func:`band_poly` extends it in place.  Runs in the arithmetic of the
+    band values.  Over Fractions the table is exact, which is what keeps
+    ``Q_n`` accurate at n ~ 20-40: the recurrence has heavy coefficient
+    growth, and rounding inside it would cost ~n*eps times the (often huge)
+    monomial condition number.
     """
-    gamma, iota, eta, xi = bands
-    table = [[1]]
-    for _ in range(min(m, nmax)):
-        table.append([c / iota for c in _exact_mul(table[-1], [gamma, 1])])
-    for n in range(m, nmax):
-        c = _exact_axpy(_exact_mul(table[n], [xi, 1]), eta, table[n - m])
-        table.append([x / iota for x in c])
-    return tuple(tuple(row) for row in table[: nmax + 1])
+    return [[1]]
 
 
 def band_poly(m: int, bands: tuple, n: int) -> Poly:
@@ -262,29 +257,27 @@ def band_poly(m: int, bands: tuple, n: int) -> Poly:
     ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``.  Fraction bands give an
     exact table, whose residuals past one double go to ``coeffs_lo``.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return Poly.from_exact(_band_table(m, tuple(bands), n)[n])
+    require_int("n", n, 0)
+    gamma, iota, eta, xi = bands
+    table = _band_table(m, tuple(bands))
+    for k in range(len(table) - 1, n):
+        if k < m:
+            c = _exact_mul(table[k], [gamma, 1])
+        else:
+            c = _exact_axpy(_exact_mul(table[k], [xi, 1]), eta, table[k - m])
+        table.append([x / iota for x in c])
+    return Poly.from_exact(table[n])
 
 
 @functools.lru_cache(maxsize=64)
-def _dual_table(p: QueueParams, rmax: int) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
-    """Rows r = 0..rmax of the dual vectors, exact; each row has m lists."""
+def _dual_table(p: QueueParams) -> list[list[list]]:
+    """The growing table of the dual vectors' rows, exact; each row has m lists.
+
+    :func:`dual_vector` extends it in place.
+    """
     from fractions import Fraction
 
-    lam, mu, m = Fraction(p.lam), Fraction(p.mu), p.m
-    zero = [Fraction(0)]
-    rows = [[[Fraction(1)] if j == r else zero for j in range(m)] for r in range(min(m - 1, rmax) + 1)]
-    for r in range(rmax - m + 1):
-        prev = rows[r]
-        before = rows[r - 1] if r >= 1 else [zero] * m  # q_{-1} = 0
-        shift = [lam, Fraction(1)] if r < m else [lam + mu, Fraction(1)]
-        row = []
-        for j in range(m):
-            c = _exact_axpy(_exact_mul(prev[j], shift), lam, before[j])
-            row.append([x / mu for x in c])
-        rows.append(row)
-    return tuple(tuple(tuple(c) for c in row) for row in rows[: rmax + 1])
+    return [[[Fraction(int(j == r))] for j in range(p.m)] for r in range(p.m)]
 
 
 def q_poly(p: QueueParams, n: int) -> Poly:
@@ -310,16 +303,23 @@ def q_poly(p: QueueParams, n: int) -> Poly:
 
 def dual_vector(p: QueueParams, r: int) -> VectorPoly:
     """The dual vector ``q_r`` for ``r >= -1`` (the zero vector at -1)."""
+    from fractions import Fraction
+
     validate_params(p)
-    if r < -1:
-        raise ValueError("r must be >= -1")
+    require_int("r", r, -1)
     if r == -1:
         comps = tuple(Poly.from_array([0.0]) for _ in range(p.m))
         return VectorPoly(components=comps, r=-1)
-    row = _dual_table(p, r)[r]
-    return VectorPoly(
-        components=tuple(Poly.from_exact(c) for c in row), r=r
-    )
+    lam, mu = Fraction(p.lam), Fraction(p.mu)
+    rows = _dual_table(p)
+    for k in range(len(rows) - p.m, r - p.m + 1):
+        before = rows[k - 1] if k >= 1 else [[0]] * p.m  # q_{-1} = 0
+        shift = [lam, 1] if k < p.m else [lam + mu, 1]
+        rows.append([
+            [x / mu for x in _exact_axpy(_exact_mul(prev, shift), lam, old)]
+            for prev, old in zip(rows[k], before)
+        ])
+    return VectorPoly(components=tuple(Poly.from_exact(c) for c in rows[r]), r=r)
 
 
 # --------------------------------------------------------------------------
@@ -344,11 +344,10 @@ def explicit_coefficients(p: QueueParams, z: complex) -> ExplicitCoefficients:
     """
     validate_params(p)
     lam, mu, m = p.lam, p.mu, p.m
-    cred = mu / lam
+    cfg = branch_config(p)
     zeta = (z + lam + mu) / lam
-    cfg = AlgebraicConfig(c=cred, m=m)
     omega = np.array(solve_branches(cfg, zeta).omega)
-    top = omega ** (m + 1) - m * cred
+    top = omega ** (m + 1) - m * cfg.c
     side = omega**m - 1.0
     if np.any(np.abs(top) <= EPS_SING) or np.any(np.abs(side) <= EPS_SING):
         raise NearSingularConfiguration(
@@ -359,10 +358,10 @@ def explicit_coefficients(p: QueueParams, z: complex) -> ExplicitCoefficients:
     vinv = np.empty((m + 1, m + 1), dtype=complex)
     vinv[0] = omega ** (m + 1) / top
     for j in range(1, m + 1):
-        vinv[j] = -cred * omega**j / top
+        vinv[j] = -cfg.c * omega**j / top
     b = np.empty((m, m + 1), dtype=complex)
     for j in range(m):
-        b[j] = cred * side / (omega ** (m - j) * top)
+        b[j] = cfg.c * side / (omega ** (m - j) * top)
     d = b @ omega ** (-m)
     return ExplicitCoefficients(
         z=complex(z),
@@ -381,8 +380,7 @@ def q_explicit(p: QueueParams, n: int, z: complex) -> complex:
     equation at ``(z + lam + mu)/lam``.  Agrees with ``q_poly(p, n)(z)``
     away from the guarded denominators.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_int("n", n, 0)
     ec = explicit_coefficients(p, z)
     om = np.array(ec.omega)
     return complex(np.sum(np.array(ec.a) * om**n))
@@ -397,10 +395,8 @@ def dual_explicit(p: QueueParams, r: int, j: int, z: complex) -> complex:
     is row j of :attr:`ExplicitCoefficients.b` against ``omega**(m - r)``.
     """
     m = p.m
-    if not 0 <= j <= m - 1:
-        raise ValueError(f"j must be in [0, {m - 1}], got {j}")
-    if r < m - 1:
-        raise ValueError(f"closed form needs r >= m - 1 = {m - 1}, got {r}")
+    require_int("j", j, 0, m - 1)
+    require_int("r", r, m - 1)
     ec = explicit_coefficients(p, z)
     return complex(np.sum(ec.b[j] * np.array(ec.omega) ** (m - r)))
 
@@ -433,17 +429,14 @@ def h_poly(cfg: AlgebraicConfig, n: int) -> Poly:
     Its coefficients are those of ``T_n`` from degree ``n mod (m+1)`` on,
     every (m+1)-th one.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_int("n", n, 0)
     return Poly.from_array(t_poly(cfg, n).coeffs[n % (cfg.m + 1) :: cfg.m + 1])
 
 
 def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
     """Second-kind member ``T_{n,j}``: the shift ``T_{n-j}``, zero for n < j."""
-    if not 1 <= j <= cfg.m:
-        raise ValueError(f"j must be in [1, {cfg.m}], got {j}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    require_int("j", j, 1, cfg.m)
+    require_int("n", n, 0)
     return t_poly(cfg, n - j) if n >= j else Poly.from_array([0.0])
 
 

@@ -1,15 +1,15 @@
 """Spectral data on the star: jump densities, linear functionals, quadrature.
 
-Everything in this module lives on the (m+1)-armed star that carries the
-spectrum of the shifted operator frame; its arm length and directions come
-from :func:`~bulkq.algebraic.star_geometry`.  Three layers:
+Everything in this module lives on the (m+1)-armed star of
+:func:`~bulkq.algebraic.star_geometry`; the queue's tube, poles and residues
+are in the generator's x, over :func:`~bulkq.model.branch_config`.  Three layers:
 
 * Markov representation -- the jump of ``omega_0**-j`` (the dominant
   branch) across an open arm is a real density; summed over the arms the
   one for j = 1 is a probability density, and the star integrals of these
   densities reproduce ``omega_0**-j`` off the star (``markov_residual``);
 * spectral functionals ``sigma_j`` -- realised as contour integrals of the
-  closed-form resolvent over a thin tube around the star, plus residue
+  closed-form resolvent row over a thin tube around the star, plus residue
   atoms at the resolvent poles that escape the tube.  This avoids ever
   differentiating the argument function: every pole is simple;
 * Gaussian-type quadrature -- nodes are the (m+1)-th roots of the zeros of
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -47,7 +46,7 @@ from .algebraic import (
     AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, star_geometry,
 )
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
-from .model import QueueParams, validate_params
+from .model import QueueParams, branch_config, require_int, validate_params
 from .polynomials import dual_vector, h_poly, h_zeros, q_poly
 
 __all__ = [
@@ -165,9 +164,7 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex) -> float:
     QuadratureNotConverged
         If doubling panels never stabilizes the integral to ``MARKOV_TOL``.
     """
-    m = cfg.m
-    if not (isinstance(j, numbers.Integral) and 1 <= j <= m):
-        raise ValueError(f"j must be an integer in 1..{m}, got {j!r}")
+    require_int("j", j, 1, cfg.m)
     z = complex(z)
     geo = star_geometry(cfg)
     if _dist_to_star(geo, z) <= SUPPORT_GUARD * geo.arm_length:
@@ -190,17 +187,17 @@ def markov_residual(cfg: AlgebraicConfig, j: int, z: complex) -> float:
 # tube contour around the star
 
 
-def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
-    """Counterclockwise boundary of the eps-tube around the star.
+def _tube_nodes(p: QueueParams, eps: float, panels: int, order: int):
+    """Counterclockwise boundary of the eps-tube around the star, in x.
 
     Per arm: lower side outward, half-circle cap around the tip, upper
     side inward.  The sides start at ``tmin = eps / tan(theta/2)`` which
     places the junctions of consecutive arms exactly on the bisectors, so
-    the union is one closed curve enclosing the star (and the origin).
-    Returns ``(nodes, dz * gauss_weight)``.
+    the union is one closed curve enclosing the star.  Built in zeta, it
+    returns ``(x, dx * gauss_weight)`` with ``x = lam (zeta - 1) - mu``.
     """
-    geo = star_geometry(cfg)
-    a = geo.arm_length
+    geo = star_geometry(branch_config(p))
+    a, eps = geo.arm_length, eps / p.lam
     tmin = eps / math.tan(math.pi / geo.arm_count)
     out_t, out_w = _graded(tmin, a, panels, order)
     cap_t, cap_w = _graded(-math.pi / 2, math.pi / 2, max(2, panels // 3), order)
@@ -211,27 +208,26 @@ def _tube_nodes(cfg: AlgebraicConfig, eps: float, panels: int, order: int):
         d = geo.rotation**k
         zs += [(out_t - 1j * eps) * d, a * d + eps * d * arc, (in_t + 1j * eps) * d]
         ws += [d * out_w, 1j * eps * d * arc * cap_w, d * in_w]
-    return np.concatenate(zs), np.concatenate(ws)
+    return p.lam * (np.concatenate(zs) - 1.0) - p.mu, p.lam * np.concatenate(ws)
 
 
-def _pole_sites(p: QueueParams, geo: StarGeometry):
-    """Every pole site: ``(lam zeta, mu + lam zeta, distance to the star)`` per m-th root zeta."""
-    for l in range(p.m):
-        lz = p.lam * cmath.exp(2j * math.pi * l / p.m)
-        zp = p.mu + lz
-        yield lz, zp, _dist_to_star(geo, zp)
+def _pole_sites(cfg: AlgebraicConfig):
+    """The m-th roots of unity u, the sites ``zeta = c + u`` and their distances to the star."""
+    geo = star_geometry(cfg)
+    u = np.array([cmath.exp(2j * math.pi * l / cfg.m) for l in range(cfg.m)])
+    return u, cfg.c + u, np.array([_dist_to_star(geo, z) for z in cfg.c + u])
 
 
 def _pick_eps(p: QueueParams) -> float:
-    """Tube radius keeping every resolvent pole clearly off the curve."""
-    geo = star_geometry(AlgebraicConfig(c=p.mu * p.lam**p.m, m=p.m))
-    dists = [d for _, _, d in _pole_sites(p, geo)]
-    eps = 0.08 * geo.arm_length
+    """Tube radius in units of x, keeping every resolvent pole clearly off the curve."""
+    cfg = branch_config(p)
+    dists = _pole_sites(cfg)[2]
+    eps = 0.08 * star_geometry(cfg).arm_length
     for _ in range(3):
         for d in dists:
             if d / 1.4 < eps < d / 0.6:
                 eps = d / 1.4
-    return eps
+    return p.lam * eps
 
 
 def _tails(m: int, z, w0, w):
@@ -251,72 +247,69 @@ def _tails(m: int, z, w0, w):
     return np.array(qs[::-1]), rk + w * qs[-1]
 
 
-def _fhat_block(p: QueueParams, zs: np.ndarray) -> np.ndarray:
-    """Closed-form resolvent samples ``fhat_j(z)`` for j = 1..m, vectorized.
+def _fhat_block(p: QueueParams, x: np.ndarray) -> np.ndarray:
+    """Row 0 of the generator's resolvent ``(x - A)^{-1}``, entries 0..m-1, at every x.
 
-    ``fhat_j(z) = Q_{j-1}(z - mu) / R(z - mu)`` (see :func:`_tails`).
+    Entry j (axis 0) is ``Q_j(zeta - c) / (lam R(zeta - c))`` (see :func:`_tails`).
     """
-    m = p.m
-    w0 = dominant_roots(AlgebraicConfig(c=p.mu * p.lam**m, m=m), zs)
-    q, rv = _tails(m, zs, w0, zs - p.mu)
-    return q / rv
+    cfg = branch_config(p)
+    zeta = (x + p.lam + p.mu) / p.lam
+    q, rv = _tails(p.m, zeta, dominant_roots(cfg, zeta), zeta - cfg.c)
+    return q / (p.lam * rv)
 
 
 @lru_cache(maxsize=64)
 def resolvent_poles(p: QueueParams) -> tuple[tuple[complex, float, np.ndarray], ...]:
-    """Non-removable resolvent poles off the star, as ``(z, distance, residues)``.
+    """Non-removable resolvent poles off the star, as ``(x, distance, residues)``.
 
-    The poles sit at ``z = mu + lam zeta`` over the m-th roots of unity
-    ``zeta``.  One is dropped when it lies on the star up to rounding (every
-    tube, and the arm samples of the transition guard, already cover it) or
-    when ``lam zeta`` is the dominant branch there (removable).  ``distance``
-    is the distance to the star; the residue of fhat_j is ``-Q_{j-1}(lam
-    zeta) (lam zeta - omega_0) / (m mu (lam zeta)**(m-1))``, for j = 1..m.
-    One batched dominant-root solve serves every pole.  Cached per
-    parameter set; the residue vectors are read-only.
+    The poles sit at ``x = lam (u - 1)`` over the m-th roots of unity u.
+    One is dropped when it lies on the star up to rounding (every tube, and
+    the arm samples of the transition guard, already cover it) or when u is
+    the dominant branch at ``zeta = c + u`` (removable).  ``distance`` to the
+    star is in units of x, as the tube's ``eps``; ``residues[j]``, of row 0,
+    entry j of ``(x - A)^{-1}``, is ``-Q_j(u) (u - omega_0) / (m c
+    u**(m-1))``.  One batched dominant-root solve serves every pole.  Cached
+    per parameter set; the residue vectors are read-only.
     """
     validate_params(p)
-    m, lam, mu = p.m, p.lam, p.mu
-    cfg = AlgebraicConfig(c=mu * lam**m, m=m)
-    geo = star_geometry(cfg)
-    sites = [s for s in _pole_sites(p, geo) if s[2] > _ON_STAR * geo.arm_length]
-    if not sites:
-        return ()
-    lz, zp, dist = (np.array(col) for col in zip(*sites))
-    w0 = dominant_roots(cfg, zp)
-    keep = np.abs(lz - w0) >= 1e-8 * lam
-    lz, zp, dist, w0 = lz[keep], zp[keep], dist[keep], w0[keep]
-    res = _pole_residues(m, mu, lz, zp, w0)
+    cfg = branch_config(p)
+    u, zeta, dist = _pole_sites(cfg)
+    off = dist > _ON_STAR * star_geometry(cfg).arm_length
+    u, zeta, dist = u[off], zeta[off], dist[off]
+    w0 = dominant_roots(cfg, zeta)
+    keep = np.abs(u - w0) >= 1e-8
+    u, zeta, dist, w0 = u[keep], zeta[keep], p.lam * dist[keep], w0[keep]
+    res = _pole_residues(cfg, u, zeta, w0)
     res.setflags(write=False)
-    return tuple((complex(z), float(d), res[:, k]) for k, (z, d) in enumerate(zip(zp, dist)))
+    x = p.lam * (u - 1.0)
+    return tuple((complex(x[k]), float(d), res[:, k]) for k, d in enumerate(dist))
 
 
 def arm_pole_residues(p: QueueParams) -> tuple[tuple[complex, np.ndarray], ...]:
-    """Resolvent poles on an arm of the star, as ``(z, residues)``.
+    """Resolvent poles on an arm of the star, as ``(x, residues)``.
 
-    For even m with ``0 < mu - lam < a`` the pole ``mu - lam`` (zeta = -1)
-    lies on the real arm, where :func:`resolvent_poles` drops it.  The
-    dominant branch jumps there, so the residue has one value per side, each
-    taken ``1e-7 a`` off the arm; this returns their mean (real for a real
-    pole).  A pole at the star's center is left out.
+    For even m with ``0 < mu/lam - 1 < a`` (a the branch star's arm length)
+    the pole ``x = -2 lam`` (u = -1) lies on the real arm, where
+    :func:`resolvent_poles` drops it.  The dominant branch jumps there, so
+    the residue has one value per side, each ``1e-7 a`` off the arm in zeta;
+    this returns their mean (real for a real pole).  The center is left out.
     """
     validate_params(p)
-    m, lam, mu = p.m, p.lam, p.mu
-    cfg = AlgebraicConfig(c=mu * lam**m, m=m)
-    geo = star_geometry(cfg)
+    cfg = branch_config(p)
+    a = star_geometry(cfg).arm_length
     out = []
-    for lz, zp, dist in _pole_sites(p, geo):
-        if dist <= _ON_STAR * geo.arm_length < abs(zp):
-            side = _ARM_SIDE * geo.arm_length * 1j * zp / abs(zp)
-            w0 = dominant_roots(cfg, np.array([zp + side, zp - side]))
-            out.append((zp, _pole_residues(m, mu, lz, zp, w0).mean(axis=1)))
+    for u, zeta, dist in zip(*_pole_sites(cfg)):
+        if dist <= _ON_STAR * a < abs(zeta):
+            side = _ARM_SIDE * a * 1j * zeta / abs(zeta)
+            w0 = dominant_roots(cfg, np.array([zeta + side, zeta - side]))
+            out.append((p.lam * (u - 1.0), _pole_residues(cfg, u, zeta, w0).mean(axis=1)))
     return tuple(out)
 
 
-def _pole_residues(m: int, mu: float, lz, zp, w0) -> np.ndarray:
-    """Residues of fhat_1..fhat_m (axis 0) at the poles ``zp = mu + lz``, w0 the dominant root."""
-    q, _ = _tails(m, zp, w0, lz)
-    return -q * (lz - w0) / (m * mu * lz ** (m - 1))
+def _pole_residues(cfg: AlgebraicConfig, u, zeta, w0) -> np.ndarray:
+    """Residues of :func:`_fhat_block` (axis 0) at ``zeta = c + u``, w0 the dominant root."""
+    q, _ = _tails(cfg.m, zeta, w0, u)
+    return -q * (u - w0) / (cfg.m * cfg.c * u ** (cfg.m - 1))
 
 
 @lru_cache(maxsize=32)
@@ -324,19 +317,17 @@ def _tube_pack(p: QueueParams, panels: int, order: int) -> tuple[np.ndarray, np.
     """The tube rule for sigma_0..sigma_{m-1} as nodes ``x`` and ``weights``.
 
     ``x`` holds the tube nodes followed by the atoms (the resolvent poles the
-    tube leaves outside), shifted into the generator frame.  Row j of
-    ``weights`` (shape ``(m, len(x))``) is ``lam**j fhat_j dz / (2 pi i)`` on
-    the nodes and ``lam**j`` times the residue of fhat_j on the atoms, so
+    tube leaves outside), in the generator's variable.  Row j of ``weights``
+    (shape ``(m, len(x))``) is entry j of the resolvent's row 0 times
+    ``dx / (2 pi i)`` on the nodes and its residue on the atoms, so
     ``sigma_j(f) = Re sum f(x) weights[j]``.  Both arrays are read-only.
     """
-    m = p.m
     eps = _pick_eps(p)
-    zs, ws = _tube_nodes(AlgebraicConfig(c=p.mu * p.lam**m, m=m), eps, panels, order)
-    atoms = [(z, res) for z, dist, res in resolvent_poles(p) if dist > eps]
-    x = np.append(zs, [z for z, _ in atoms]) - (p.lam + p.mu)
-    nodes = _fhat_block(p, zs) * ws / (2j * math.pi)
+    xs, dx = _tube_nodes(p, eps, panels, order)
+    atoms = [(x, res) for x, dist, res in resolvent_poles(p) if dist > eps]
+    x = np.append(xs, [x for x, _ in atoms])
+    nodes = _fhat_block(p, xs) * dx / (2j * math.pi)
     weights = np.column_stack([nodes] + [res for _, res in atoms])
-    weights *= p.lam ** np.arange(m)[:, None]
     for cached in (x, weights):
         cached.setflags(write=False)
     return x, weights
@@ -385,8 +376,7 @@ def sigma_apply(p: QueueParams, j: int, f: Callable) -> float:
         If three doublings never stabilize the value.
     """
     validate_params(p)
-    if not (isinstance(j, numbers.Integral) and 0 <= j <= p.m - 1):
-        raise ValueError(f"j must be an integer in 0..{p.m - 1}, got {j!r}")
+    require_int("j", j, 0, p.m - 1)
 
     def contract(x, weights):
         return np.sum(_eval_f(f, x) * weights[j])
@@ -411,8 +401,7 @@ def pairing_matrix(p: QueueParams, N: int) -> np.ndarray:
         If three doublings never stabilize the matrix.
     """
     validate_params(p)
-    if not (isinstance(N, numbers.Integral) and N >= 1):
-        raise ValueError(f"N must be an integer >= 1, got {N!r}")
+    require_int("N", N, 1)
     qs = [q_poly(p, n) for n in range(N)]
     duals = [dual_vector(p, r).components for r in range(N)]
 
@@ -458,8 +447,7 @@ class QuadratureRule:
 
     def monomial_moment(self, nu: int) -> float:
         """Quadrature value for the degree-nu moment (see class docstring)."""
-        if nu < 0:
-            raise ValueError("nu must be >= 0")
+        require_int("nu", nu, 0)
         m = self.cfg.m
         acc = np.sum(self.weights * self.nodes ** (nu - m - 1)) / (m + 1)
         return float(acc.real)
@@ -481,8 +469,7 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
     from numpy.polynomial import polynomial as P  # not at import: see polynomials.py
 
     m = cfg.m
-    if n < m + 1:
-        raise ValueError(f"n must be >= m+1 = {m + 1}, got {n}")
+    require_int("n", n, m + 1)
     d, s = divmod(n, m + 1)
     xs = h_zeros(cfg, n)
     dcoef = P.polyder(np.asarray(h_poly(cfg, n).coeffs))

@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebraic import AlgebraicConfig, dominant_roots, star_geometry
+from .algebraic import dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
-from .model import QueueParams, poisson_quantile, poisson_tail, validate_params
+from .model import QueueParams, branch_config, poisson_quantile, poisson_tail, validate_params
 from .spectral import arm_pole_residues, resolvent_poles
 
 __all__ = [
@@ -134,7 +134,7 @@ def decay_rate(p: QueueParams) -> float:
     sliver there, which is clamped.
     """
     validate_params(p)
-    arm = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m)).arm_length
+    arm = star_geometry(branch_config(p)).arm_length
     return min(-p.lam - p.mu + p.lam * arm, 0.0)
 
 
@@ -158,11 +158,11 @@ def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=64)
 def _singular_points(p: QueueParams) -> np.ndarray:
-    """The resolvent poles and 65 samples per arm of the star, in the generator frame."""
-    geo = star_geometry(AlgebraicConfig(c=p.mu / p.lam, m=p.m))
+    """The resolvent poles and 65 samples per arm of the star, in the generator's x."""
+    geo = star_geometry(branch_config(p))
     arms = np.multiply.outer(geo.rotation ** np.arange(geo.arm_count), np.linspace(0, 1, 65))
-    poles = [z for z, _, _ in resolvent_poles(p)]
-    x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel()]) - p.lam - p.mu
+    poles = [x for x, _, _ in resolvent_poles(p)]
+    x = np.concatenate([poles, p.lam * geo.arm_length * arms.ravel() - p.lam - p.mu])
     x.setflags(write=False)
     return x
 
@@ -199,8 +199,7 @@ def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     _guard(p, t)
     (s0, w0), (s1, w1) = _talbot(NODES, t), _talbot(NODES_CHECK, t)
     s = np.concatenate([s0, s1])
-    cfg = AlgebraicConfig(c=p.mu / p.lam, m=p.m)
-    return s, np.concatenate([w0, w1]), dominant_roots(cfg, (s + p.lam + p.mu) / p.lam)
+    return s, np.concatenate([w0, w1]), dominant_roots(branch_config(p), (s + p.lam + p.mu) / p.lam)
 
 
 def _resolvent_rows(
@@ -409,9 +408,9 @@ def fitted_decay_rate(p: QueueParams) -> float:
     validate_params(p)
     ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
     vals = np.asarray(transition_spectral(p, TransitionQuery(0, 0, tuple(ts))).values)
-    modes = [(z, res) for z, _, res in resolvent_poles(p)] + list(arm_pole_residues(p))
-    for z, res in modes:
-        vals = vals - (res[0] * np.exp((z - p.lam - p.mu) * ts)).real
+    modes = [(x, res) for x, _, res in resolvent_poles(p)] + list(arm_pole_residues(p))
+    for x, res in modes:
+        vals = vals - (res[0] * np.exp(x * ts)).real
     keep = vals > 0.0
     if int(keep.sum()) < max(8, _FIT_POINTS // 2):
         raise QuadratureNotConverged(

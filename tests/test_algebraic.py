@@ -20,6 +20,13 @@ from bulkq.errors import NotOnOpenArm
 VIETA_RTOL = 1e-10
 
 
+@pytest.mark.parametrize("m", [0, 2.0, 2.5, True])
+def test_config_refuses_a_degree_that_is_not_an_integer(m):
+    with pytest.raises(ValueError, match="m must be an integer >= 1"):
+        AlgebraicConfig(c=0.7, m=m)
+    assert AlgebraicConfig(c=0.7, m=np.int64(2)).m == 2
+
+
 def elementary_symmetric(roots):
     """All elementary symmetric functions e_1..e_len via the stable product."""
     coeffs = np.array([1.0 + 0.0j])

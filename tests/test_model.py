@@ -4,6 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
+from bulkq import TransitionQuery, cross_validate, sigma_apply, transition_spectral
 from bulkq.errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 from bulkq.model import QueueParams, build_generator, validate_params
 from bulkq.spectral import resolvent_poles
@@ -35,8 +36,20 @@ def test_validate_rejects_bad_rates(lam, mu):
 
 
 def test_validate_rejects_zero_batch():
-    with pytest.raises(ZeroBatchSize):
-        validate_params(QueueParams(1.0, 1.0, 0))
+    # a batch size is an integer >= 1: a float equal to one, or a bool, is
+    # refused by every entry point, not taken as a size or a numpy mask
+    for m in (0, 2.0, 2.5, True):
+        p = QueueParams(1.0, 2.0, m)
+        calls = [
+            lambda: validate_params(p),
+            lambda: build_generator(p, 8),
+            lambda: sigma_apply(p, 0, lambda x: x),
+            lambda: transition_spectral(p, TransitionQuery(0, 1, (1.0,))),
+            lambda: cross_validate(p, [(0, 1, 1.0)]),
+        ]
+        for call in calls:
+            with pytest.raises(ZeroBatchSize, match="batch size must be an integer >= 1"):
+                call()
 
 
 def test_generator_rows_m2():

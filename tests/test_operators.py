@@ -134,6 +134,20 @@ def test_resolvent_shift_between_generator_and_l_frame():
             assert abs(fa - p.lam ** (j - 1) * fl) <= 1e-9
 
 
+@pytest.mark.parametrize("k", [2.0, 2.5])
+def test_operator_indices_must_be_integers(k):
+    spec = OperatorSpec("A", QueueParams(1.2, 0.8, 3), 96)
+    calls = [
+        ("j", lambda: moment(spec, 2, k - 1)),
+        ("nu", lambda: moment(spec, k, 1)),
+        ("j", lambda: resolvent(spec, k - 1, 1 + 1j)),
+        ("n", lambda: basis_jump_check(spec, k)),
+    ]
+    for label, call in calls:
+        with pytest.raises(ValueError, match=f"{label} must be an integer"):
+            call()
+
+
 def test_resolvent_inside_support_raises():
     spec = OperatorSpec("T", AlgebraicConfig(c=1.0, m=1), 64)
     with pytest.raises(InsideSupport):

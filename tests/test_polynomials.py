@@ -8,6 +8,7 @@ from bulkq.algebraic import AlgebraicConfig, star_geometry
 from bulkq.errors import NearSingularConfiguration
 from bulkq.model import QueueParams
 from bulkq.operators import OperatorSpec
+from bulkq import polynomials
 from bulkq.polynomials import (
     band_poly,
     dual_explicit,
@@ -93,6 +94,48 @@ def test_q_matches_fraction_oracle(m):
         got = q_poly(p, n).coeffs
         assert len(got) == n + 1
         assert all(float(a) == b for a, b in zip(oracle[n], got))
+
+
+def test_exact_tables_grow_once_per_family():
+    # one table per family grows to the largest index asked and serves the
+    # smaller ones with the coefficients of a build in ascending order
+    p = QueueParams(1.2, 0.8, 3)
+    tables = (polynomials._band_table, polynomials._dual_table)
+
+    def build(order):
+        for table in tables:
+            table.cache_clear()
+        out = {n: (q_poly(p, n), dual_vector(p, n)) for n in order}
+        assert [table.cache_info().currsize for table in tables] == [1, 1]
+        return out
+
+    full = build(range(21))
+    assert build(range(20, -1, -1)) == full
+    assert all(full[n] == got for n, got in build([7, 20, 0, 13]).items())
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5])
+def test_polynomial_indices_must_be_integers(k):
+    # a float is no index, even one equal to an integer: no branch power at
+    # it, and no numpy or range error in place of the message
+    p, z, cfg = QueueParams(1.2, 0.8, 3), 1 + 1j, AlgebraicConfig(c=0.7, m=3)
+    calls = [
+        ("n", lambda: q_explicit(p, k, z)),
+        ("n", lambda: q_poly(p, k)),
+        ("n", lambda: band_poly(3, (1.0, 1.0, 0.5, 2.0), k)),
+        ("n", lambda: t_poly(cfg, k)),
+        ("n", lambda: l_poly(p, k)),
+        ("n", lambda: h_poly(cfg, k)),
+        ("n", lambda: h_zeros(cfg, k)),
+        ("n", lambda: second_kind(cfg, k, 1)),
+        ("j", lambda: second_kind(cfg, 5, k - 1)),
+        ("r", lambda: dual_vector(p, k)),
+        ("r", lambda: dual_explicit(p, k + 2, 0, z)),
+        ("j", lambda: dual_explicit(p, 4, k - 2, z)),
+    ]
+    for label, call in calls:
+        with pytest.raises(ValueError, match=f"{label} must be an integer"):
+            call()
 
 
 def test_q_degree_and_leading_coefficient():

@@ -9,7 +9,7 @@ from bulkq import algebraic, spectral
 from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
 from bulkq.errors import InsideSupport, QuadratureNotConverged
 from bulkq.model import QueueParams
-from bulkq.operators import OperatorSpec, moment
+from bulkq.operators import OperatorSpec, moment, resolvent
 from bulkq.polynomials import dual_vector, q_poly
 from bulkq.spectral import (
     QuadratureRule,
@@ -254,21 +254,35 @@ def test_resolvent_poles_are_residues_of_the_resolvent(lam, mu, m, monkeypatch):
         np.testing.assert_allclose(contour, res, rtol=0, atol=1e-11 * np.max(np.abs(res)))
 
 
+@pytest.mark.parametrize("lam, mu, m", [(1.0, 2.0, 1), (1.0, 1.0, 2), (1.2, 0.8, 3)])
+def test_tube_sampler_is_row_0_of_the_generator_resolvent(lam, mu, m):
+    # the tube integrates the generator's own resolvent in its own variable
+    # x: checked against banded solves, at points outside A's Gershgorin discs
+    p = QueueParams(lam, mu, m)
+    xs = np.array([1 + 2j, -6 + 5j, 4, 0.5 - 3j])
+    got = _fhat_block(p, xs)
+    assert got.shape == (m, xs.size)
+    for j in range(m):
+        for k, x in enumerate(xs):
+            want = resolvent(OperatorSpec("A", p, 96), j + 1, x).value
+            assert abs(got[j, k] - want) <= 1e-9 * abs(want), (j, x)
+
+
 def test_resolvent_poles_drop_poles_on_the_star():
-    # zeta = -1 puts the pole mu - lam on the star: at lam = mu its centre
+    # u = -1 puts the pole x = -2 lam on the star: at lam = mu its centre
     # (1.2e-16i after rounding), at (0.6, 1.0, 2) the real arm.  Every tube
-    # contains it, so only mu + lam is left
+    # contains it, so only x = 0 is left
     for lam, mu in [(1.0, 1.0), (0.6, 1.0)]:
         poles = resolvent_poles(QueueParams(lam, mu, 2))
-        assert [z for z, _, _ in poles] == [mu + lam]
+        assert [z for z, _, _ in poles] == [0]
 
 
 def test_arm_pole_residues_take_the_mean_of_both_sides(monkeypatch):
-    # at (0.3, 1.0, 2) the pole mu - lam = 0.7 lies on the real arm
+    # at (0.3, 1.0, 2) the pole x = -2 lam = -0.6 lies on the real arm
     # (a = 0.848); the residues from its two sides are conjugate
     p = QueueParams(0.3, 1.0, 2)
     ((z, res),) = arm_pole_residues(p)
-    assert z == pytest.approx(0.7, rel=1e-14)
+    assert z == pytest.approx(-0.6, rel=1e-14)
     assert res.shape == (2,)
     assert np.max(np.abs(res.imag)) <= 1e-12 * np.max(np.abs(res))
     # the one-sided limits are reached: a hundred times closer moves nothing
@@ -292,7 +306,7 @@ def test_spectral_functional_binding_and_validation():
     np.testing.assert_allclose(
         sigma_apply(p, 1, lambda x: x), moment(OperatorSpec("A", p, 40), 1, 2), atol=1e-8
     )
-    for j in (-1, p.m, 0.5, 1.0):
+    for j in (-1, p.m, 0.5, 1.0, True):
         with pytest.raises(ValueError, match="j must be an integer"):
             sigma_apply(p, j, lambda x: x)
     for n in (0, -1, 2.0, 2.5):
@@ -368,10 +382,13 @@ def test_star_quadrature_degree_bound_is_sharp():
 
 
 def test_star_quadrature_preconditions():
-    with pytest.raises(ValueError):
-        star_quadrature(AlgebraicConfig(c=1.0, m=2), 2)
-    with pytest.raises(ValueError):
-        star_quadrature(AlgebraicConfig(c=1.0, m=1), 2).monomial_moment(-1)
+    for n in (2, 4.0, 4.5):
+        with pytest.raises(ValueError, match="n must be an integer >= 3"):
+            star_quadrature(AlgebraicConfig(c=1.0, m=2), n)
+    rule = star_quadrature(AlgebraicConfig(c=1.0, m=1), 2)
+    for nu in (-1, 2.0, 2.5):
+        with pytest.raises(ValueError, match="nu must be an integer >= 0"):
+            rule.monomial_moment(nu)
 
 
 def test_quadrature_rule_is_frozen_dataclass():
