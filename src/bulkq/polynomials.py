@@ -7,11 +7,10 @@ Approx. 30, 2009), with band values ``(gamma, iota, eta, xi)``:
     P_n = ((gamma + x)/iota)**n                    for n <= m,
     iota P_{n+1} = (xi + x) P_n - eta P_{n-m}      after that.
 
-:func:`band_poly` builds it, exactly over Fractions or in floats.  The
-named families are its views:
+:func:`band_poly` builds it.  The named families are its views:
 
 * ``Q_n``  — eigenvector polynomials of the queue generator, bands
-  ``(lam, lam, mu, lam + mu)``, exact rational.
+  ``(lam, lam, mu, lam + mu)``, with exact rational coefficients.
 * ``T_n``  — the monic normalization, bands ``(0, 1, c, 0)``; the
   second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``, and ``h_n``,
   the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
@@ -20,8 +19,16 @@ named families are its views:
 * ``L_n``  — the shifted monic frame ``L_n(z) = lam**n * Q_n(z - lam - mu)``,
   bands ``(-mu, 1, mu*lam**m, 0)``.
 
-Only the dual vectors ``q_r`` (``m`` components, the same band pattern read
-along rows instead of columns) keep their own recurrence.
+The dual vectors ``q_r`` (``m`` components, the same band pattern read
+along rows instead of columns) keep their own recurrence,
+``mu q_{r+m} = (x + s_r) q_r - lam q_{r-1}``.
+
+Two things come from each recurrence.  The coefficients, exact over
+Fractions for ``Q`` and ``q`` and rounded once to doubles, serve the
+operator identities and the Fraction-oracle tests.  Values at a point come
+from running the recurrence itself at that point in floats, which stays
+accurate where the monomial basis cancels heavily; only ``h_n`` and the
+zero members, which carry no recurrence, are evaluated from coefficients.
 
 Closed forms for ``Q_n`` and ``q_{j,r}`` in terms of the algebraic branches
 are provided alongside the recurrences so each route can audit the other.
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -61,120 +69,40 @@ __all__ = [
 #: threshold below which a closed-form denominator counts as singular
 EPS_SING = 1e-8
 
-#: Dekker splitting constant for float64 (2**27 + 1)
-_SPLITTER = 134217729.0
-
-
-def _two_sum(a, b):
-    """Error-free sum: returns (fl(a+b), exact rounding error)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _two_prod(a, b):
-    """Error-free product via Dekker splitting (no FMA required)."""
-    p = a * b
-    ca = _SPLITTER * a
-    ahi = ca - (ca - a)
-    alo = a - ahi
-    cb = _SPLITTER * b
-    bhi = cb - (cb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _comp_horner(coeffs, x):
-    """Horner evaluation with compensated products and sums.
-
-    Tracks the exact rounding error of every multiply-add and folds it back
-    in at the end, which keeps values trustworthy even where the monomial
-    basis is badly conditioned (large |x| with heavy cancellation, the
-    regime the n <= 40 desk scale routinely visits).
-    """
-    xa = np.asarray(x)
-    if np.iscomplexobj(xa):
-        xr = np.asarray(xa.real, dtype=float)
-        xi = np.asarray(xa.imag, dtype=float)
-        sr = np.full_like(xr, coeffs[-1])
-        si = np.zeros_like(xr)
-        er = np.zeros_like(xr)
-        ei = np.zeros_like(xr)
-        for ck in coeffs[-2::-1]:
-            # complex product split into four real error-free products
-            p1, d1 = _two_prod(sr, xr)
-            p2, d2 = _two_prod(si, xi)
-            p3, d3 = _two_prod(sr, xi)
-            p4, d4 = _two_prod(si, xr)
-            pr, f1 = _two_sum(p1, -p2)
-            pi, f2 = _two_sum(p3, p4)
-            sr, f3 = _two_sum(pr, ck)
-            si = pi
-            dr = d1 - d2 + f1 + f3
-            di = d3 + d4 + f2
-            er, ei = er * xr - ei * xi + dr, er * xi + ei * xr + di
-        out = (sr + er) + 1j * (si + ei)
-        return out[()] if out.ndim == 0 else out
-    xf = np.asarray(xa, dtype=float)
-    s = np.full_like(xf, coeffs[-1])
-    e = np.zeros_like(xf)
-    for ck in coeffs[-2::-1]:
-        p, dp = _two_prod(s, xf)
-        s, ds = _two_sum(p, ck)
-        e = e * xf + (dp + ds)
-    out = s + e
-    return out[()] if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class Poly:
     """A real polynomial.
 
-    Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``)
-    with no trailing zeros except for the zero polynomial itself.  Families
-    built from exact rational recurrences also carry the residual
-    ``coeffs_lo`` (the part of each exact coefficient that did not fit in
-    one double), so evaluation keeps full working precision even when the
-    rounded coefficients alone could not reproduce the value.
+    Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``),
+    rounded to doubles, with no trailing zeros except for the zero
+    polynomial itself.  A member of a recurrence family carries that
+    recurrence as ``recurrence(x)`` and is evaluated by running it at x;
+    it takes no part in equality.  Any other polynomial is evaluated from
+    its coefficients.
     """
 
     coeffs: tuple[float, ...]
-    coeffs_lo: tuple[float, ...] = field(default=(), repr=False)
+    recurrence: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        val = _comp_horner(self.coeffs, x)
-        if self.coeffs_lo:
-            from numpy.polynomial import polynomial as P
-            val = val + P.polyval(np.asarray(x), np.asarray(self.coeffs_lo))
-        return val
+        if self.recurrence is not None:
+            return self.recurrence(x)
+        from numpy.polynomial.polynomial import polyval
+
+        return polyval(x, self.coeffs)
 
     @staticmethod
-    def from_array(c) -> "Poly":
-        c = np.atleast_1d(np.asarray(c, dtype=float))
-        c = np.trim_zeros(c, "b")
-        if c.size == 0:
-            c = np.zeros(1)
-        return Poly(coeffs=tuple(c.tolist()))
-
-    @staticmethod
-    def from_exact(c) -> "Poly":
-        """Split rational coefficients into hi + lo double pairs.
-
-        Float coefficients have no residual and come through unchanged.
-        """
-        from fractions import Fraction
-
+    def from_exact(c, recurrence: Callable | None = None) -> "Poly":
+        """Round coefficients (Fractions or floats) to doubles and trim trailing zeros."""
+        c = list(c)
         while len(c) > 1 and c[-1] == 0:
-            c = c[:-1]
-        hi = [float(x) for x in c]
-        lo = [float(x - Fraction(h)) if isinstance(x, Fraction) else 0.0 for x, h in zip(c, hi)]
-        if not any(lo):
-            lo = []
-        return Poly(coeffs=tuple(hi), coeffs_lo=tuple(lo))
+            c.pop()
+        return Poly(coeffs=tuple(float(x) for x in c), recurrence=recurrence)
 
 
 @dataclass(frozen=True)
@@ -216,6 +144,36 @@ class ExplicitCoefficients:
 
 
 # --------------------------------------------------------------------------
+# values at a point: each member runs its own recurrence there, vectorised
+# over x, a scalar out for a scalar in
+# --------------------------------------------------------------------------
+
+
+def _run_band(m: int, bands: tuple, n: int, x):
+    """``P_n(x)`` by running the band recurrence at x, in floats (complex for complex x)."""
+    gamma, iota, eta, xi = bands
+    x = np.asarray(x) + 0.0
+    w = [((gamma + x) / iota) ** k for k in range(min(n, m) + 1)]
+    for _ in range(m, n):
+        w = w[1:] + [((xi + x) * w[-1] - eta * w[0]) / iota]
+    return w[-1]
+
+
+def _run_dual(p: QueueParams, j: int, r: int, x):
+    """``q_{j,r}(x)`` by running ``mu q_{k+m} = (x + s_k) q_k - lam q_{k-1}`` at x.
+
+    ``s_k`` is lam for k < m and lam + mu after; the window starts at
+    ``q_{-1} = 0`` and the unit initials ``q_k = [k == j]``, k < m.
+    """
+    lam, mu, m = p.lam, p.mu, p.m
+    x = np.asarray(x) + 0.0
+    w = [0.0 * x] + [(k == j) + 0.0 * x for k in range(m)]
+    for k in range(r - m + 1):
+        w = w[1:] + [((x + (lam if k < m else lam + mu)) * w[1] - lam * w[0]) / mu]
+    return w[min(r + 1, m)]
+
+
+# --------------------------------------------------------------------------
 # coefficient tables (ascending powers), one per band or parameter set; each
 # grows to the largest index asked of it and serves every smaller one
 # --------------------------------------------------------------------------
@@ -239,13 +197,12 @@ def _exact_axpy(a, scale, b):
 
 @functools.lru_cache(maxsize=64)
 def _band_table(m: int, bands: tuple) -> list[list]:
-    """The growing table of P_0, P_1, ... for the bands ``(gamma, iota, eta, xi)``.
+    """The growing coefficient table of P_0, P_1, ... for the bands ``(gamma, iota, eta, xi)``.
 
-    :func:`band_poly` extends it in place.  Runs in the arithmetic of the
-    band values.  Over Fractions the table is exact, which is what keeps
-    ``Q_n`` accurate at n ~ 20-40: the recurrence has heavy coefficient
-    growth, and rounding inside it would cost ~n*eps times the (often huge)
-    monomial condition number.
+    :func:`band_poly` extends it in place, in the arithmetic of the band
+    values.  Over Fractions the coefficients are exact before their one
+    rounding to doubles, which is what the operator identities and the
+    Fraction-oracle tests read; no value at a point comes from them.
     """
     return [[1]]
 
@@ -254,8 +211,9 @@ def band_poly(m: int, bands: tuple, n: int) -> Poly:
     """The degree-n member of the band recurrence with values ``(gamma, iota, eta, xi)``.
 
     ``P_n = ((gamma + x)/iota)**n`` for ``n <= m``, then
-    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``.  Fraction bands give an
-    exact table, whose residuals past one double go to ``coeffs_lo``.
+    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``.  The coefficients come
+    from the cached table (exact for Fraction bands); the member is
+    evaluated by running the recurrence at the point, in floats.
     """
     require_int("n", n, 0)
     gamma, iota, eta, xi = bands
@@ -266,7 +224,8 @@ def band_poly(m: int, bands: tuple, n: int) -> Poly:
         else:
             c = _exact_axpy(_exact_mul(table[k], [xi, 1]), eta, table[k - m])
         table.append([x / iota for x in c])
-    return Poly.from_exact(table[n])
+    run = functools.partial(_run_band, m, tuple(float(b) for b in bands), n)
+    return Poly.from_exact(table[n], run)
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,7 +267,7 @@ def dual_vector(p: QueueParams, r: int) -> VectorPoly:
     validate_params(p)
     require_int("r", r, -1)
     if r == -1:
-        comps = tuple(Poly.from_array([0.0]) for _ in range(p.m))
+        comps = tuple(Poly.from_exact([0.0]) for _ in range(p.m))
         return VectorPoly(components=comps, r=-1)
     lam, mu = Fraction(p.lam), Fraction(p.mu)
     rows = _dual_table(p)
@@ -319,7 +278,10 @@ def dual_vector(p: QueueParams, r: int) -> VectorPoly:
             [x / mu for x in _exact_axpy(_exact_mul(prev, shift), lam, old)]
             for prev, old in zip(rows[k], before)
         ])
-    return VectorPoly(components=tuple(Poly.from_exact(c) for c in rows[r]), r=r)
+    comps = tuple(
+        Poly.from_exact(c, functools.partial(_run_dual, p, j, r)) for j, c in enumerate(rows[r])
+    )
+    return VectorPoly(components=comps, r=r)
 
 
 # --------------------------------------------------------------------------
@@ -430,14 +392,14 @@ def h_poly(cfg: AlgebraicConfig, n: int) -> Poly:
     every (m+1)-th one.
     """
     require_int("n", n, 0)
-    return Poly.from_array(t_poly(cfg, n).coeffs[n % (cfg.m + 1) :: cfg.m + 1])
+    return Poly.from_exact(t_poly(cfg, n).coeffs[n % (cfg.m + 1) :: cfg.m + 1])
 
 
 def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
     """Second-kind member ``T_{n,j}``: the shift ``T_{n-j}``, zero for n < j."""
     require_int("j", j, 1, cfg.m)
     require_int("n", n, 0)
-    return t_poly(cfg, n - j) if n >= j else Poly.from_array([0.0])
+    return t_poly(cfg, n - j) if n >= j else Poly.from_exact([0.0])
 
 
 def h_zeros(cfg: AlgebraicConfig, n: int) -> np.ndarray:

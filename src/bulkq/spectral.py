@@ -47,7 +47,7 @@ from .algebraic import (
 )
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, branch_config, require_int, validate_params
-from .polynomials import dual_vector, h_poly, h_zeros, q_poly
+from .polynomials import dual_vector, h_poly, h_zeros, q_poly, t_poly
 
 __all__ = [
     "QuadratureRule",
@@ -292,14 +292,16 @@ def arm_pole_residues(p: QueueParams) -> tuple[tuple[complex, np.ndarray], ...]:
     the pole ``x = -2 lam`` (u = -1) lies on the real arm, where
     :func:`resolvent_poles` drops it.  The dominant branch jumps there, so
     the residue has one value per side, each ``1e-7 a`` off the arm in zeta;
-    this returns their mean (real for a real pole).  The center is left out.
+    this returns their mean (real for a real pole).  The center and the
+    tips (``|zeta| = a``, as at lam = mu with m = 1) are branch points, not
+    poles, and are left out.
     """
     validate_params(p)
     cfg = branch_config(p)
     a = star_geometry(cfg).arm_length
     out = []
     for u, zeta, dist in zip(*_pole_sites(cfg)):
-        if dist <= _ON_STAR * a < abs(zeta):
+        if dist <= _ON_STAR * a < min(abs(zeta), abs(abs(zeta) - a)):
             side = _ARM_SIDE * a * 1j * zeta / abs(zeta)
             w0 = dominant_roots(cfg, np.array([zeta + side, zeta - side]))
             out.append((p.lam * (u - 1.0), _pole_residues(cfg, u, zeta, w0).mean(axis=1)))
@@ -472,15 +474,16 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
     require_int("n", n, m + 1)
     d, s = divmod(n, m + 1)
     xs = h_zeros(cfg, n)
-    dcoef = P.polyder(np.asarray(h_poly(cfg, n).coeffs))
-    lam_w = h_poly(cfg, n - 1)(xs).real / P.polyval(xs, dcoef)
+    zeta = xs ** (1.0 / (m + 1))
+    # h_{n-1}(xs) through T_{n-1}(zeta) = zeta**((n-1) mod (m+1)) h_{n-1}(xs)
+    prev = t_poly(cfg, n - 1)(zeta) / zeta ** ((n - 1) % (m + 1))
+    lam_w = prev / P.polyval(xs, P.polyder(np.asarray(h_poly(cfg, n).coeffs)))
     if s == 0:
         lam_w = lam_w * xs
     if not np.all(np.isfinite(lam_w)) or np.any(lam_w <= 0.0):
         raise ZeroFindingFailure(
             f"nonpositive quadrature weight at n={n} (zeros not resolved?)"
         )
-    zeta = xs ** (1.0 / (m + 1))
     geo = star_geometry(cfg)
     nodes = zeta[:, None] * geo.rotation ** np.arange(geo.arm_count)[None, :]
     weights = np.repeat(lam_w[:, None], m + 1, axis=1)

@@ -114,6 +114,31 @@ def test_exact_tables_grow_once_per_family():
     assert all(full[n] == got for n, got in build([7, 20, 0, 13]).items())
 
 
+def _exact_value(coeffs, z):
+    """Ascending Fraction coefficients at z, in exact rational complex arithmetic."""
+    zr, zi = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        re, im = re * zr - im * zi + c, re * zi + im * zr
+    return complex(float(re), float(im))
+
+
+@pytest.mark.parametrize(
+    "lam, mu, m, z",
+    [(1.0, 2.0, 1, -5.25 + 0.0625j), (1.0, 1.0, 2, -2.25 + 0.0625j), (1.2, 0.8, 3, -3 + 0.0625j)],
+)
+def test_members_match_exact_values_at_degree_40(lam, mu, m, z):
+    # Q_40 and every q_{j,40} at a point of heavy cancellation in the
+    # monomial basis, against the exact tables evaluated exactly
+    p = QueueParams(lam, mu, m)
+    checks = [(q_poly(p, 40), q_table_fractions(lam, mu, m, 40)[40])]
+    row = dual_table_fractions(lam, mu, m, 40)[40]
+    checks += [(dual_vector(p, 40).components[j], row[j]) for j in range(m)]
+    for poly, exact in checks:
+        ref = _exact_value(exact, z)
+        assert abs(poly(z) - ref) <= 1e-12 * (1.0 + abs(ref))
+
+
 @pytest.mark.parametrize("k", [2.0, 2.5])
 def test_polynomial_indices_must_be_integers(k):
     # a float is no index, even one equal to an integer: no branch power at
@@ -380,8 +405,6 @@ def test_band_oracle_is_q_bitwise(lam, mu, m):
         got = q_poly(QueueParams(lam, mu, m), n)
         hi = tuple(float(x) for x in table[n])
         assert got.coeffs == hi
-        lo = tuple(float(x - Fraction(h)) for x, h in zip(table[n], hi))
-        assert got.coeffs_lo == (lo if any(lo) else ())
 
 
 @pytest.mark.parametrize(

@@ -203,16 +203,18 @@ def test_sigma_monomials_all_indices():
 
 
 def test_sigma_apply_ladder_failure(monkeypatch):
-    # the 12-, 24-, 48- and 96-panel values differ in the last bits
-    monkeypatch.setattr(spectral, "SIGMA_TOL", 0.0)
+    # two Gauss points per panel leave a discretisation error far above
+    # SIGMA_TOL at every level, so no two levels agree
+    monkeypatch.setattr(spectral, "GL_ORDER", 2)
     with pytest.raises(QuadratureNotConverged, match="sigma_0 still moving after 96 panels") as err:
         sigma_apply(QueueParams(1.0, 1.0, 2), 0, lambda x: x**3)
     assert _last_delta(err.value) > 0.0
 
 
 def test_pairing_matrix_ladder_failure(monkeypatch):
-    # no two of the 12- to 96-panel matrices agree in every entry
-    monkeypatch.setattr(spectral, "SIGMA_TOL", 0.0)
+    # as above: with two Gauss points per panel no two of the 12- to
+    # 96-panel matrices agree
+    monkeypatch.setattr(spectral, "GL_ORDER", 2)
     with pytest.raises(
         QuadratureNotConverged, match="pairing matrix of size 4 still moving after 96 panels"
     ) as err:
@@ -289,8 +291,9 @@ def test_arm_pole_residues_take_the_mean_of_both_sides(monkeypatch):
     monkeypatch.setattr(spectral, "_ARM_SIDE", 1e-9)
     ((_, closer),) = arm_pole_residues(p)
     np.testing.assert_allclose(closer, res, rtol=1e-6)
-    # off the star, or at its centre (lam = mu), there is no arm pole
-    for lam, mu, m in [(0.5, 1.5, 1), (1.0, 1.0, 2), (1.2, 0.8, 3), (0.9, 0.7, 4)]:
+    # off the star, or at its centre (lam = mu) or a tip (lam = mu, m = 1),
+    # there is no arm pole
+    for lam, mu, m in [(0.5, 1.5, 1), (1.0, 1.0, 2), (1.2, 0.8, 3), (0.9, 0.7, 4), (1.0, 1.0, 1)]:
         assert arm_pole_residues(QueueParams(lam, mu, m)) == ()
 
 
