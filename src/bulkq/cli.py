@@ -298,7 +298,7 @@ def _suite_quadrature(m_max: int, n_max: int) -> tuple[bool, str]:
                 err = abs(rule.monomial_moment(nu) - want) / max(1.0, abs(want))
                 worst = max(worst, float(err))
         prev = None
-        for n in range(m + 1, min(n_max * (m + 1), 41)):
+        for n in range(m + 1, min(n_max * (m + 1), 101)):
             zs = h_zeros(cfg, n)
             if prev is not None and len(prev) > 0:
                 pairs = (

@@ -12,10 +12,9 @@ Approx. 30, 2009), with band values ``(gamma, iota, eta, xi)``:
 * ``Q_n``  — eigenvector polynomials of the queue generator, bands
   ``(lam, lam, mu, lam + mu)``, with exact rational coefficients.
 * ``T_n``  — the monic normalization, bands ``(0, 1, c, 0)``; the
-  second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``, and ``h_n``,
-  the (m+1)-fold symmetry reduction ``T_n(z) = z**(n mod (m+1)) *
-  h_n(z**(m+1))`` whose positive real zeros generate the star quadrature,
-  is every (m+1)-th of its coefficients.
+  second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``, and the
+  zeros of ``h_n``, where ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``,
+  generate the star quadrature (:func:`h_zeros`).
 * ``L_n``  — the shifted monic frame ``L_n(z) = lam**n * Q_n(z - lam - mu)``,
   bands ``(-mu, 1, mu*lam**m, 0)``.
 
@@ -27,8 +26,8 @@ Two things come from each recurrence.  The coefficients, exact over
 Fractions for ``Q`` and ``q`` and rounded once to doubles, serve the
 operator identities and the Fraction-oracle tests.  Values at a point come
 from running the recurrence itself at that point in floats, which stays
-accurate where the monomial basis cancels heavily; only ``h_n`` and the
-zero members, which carry no recurrence, are evaluated from coefficients.
+accurate where the monomial basis cancels heavily; no value comes from the
+coefficients.
 
 Closed forms for ``Q_n`` and ``q_{j,r}`` in terms of the algebraic branches
 are provided alongside the recurrences so each route can audit the other.
@@ -42,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-# fractions and numpy.polynomial cost about 1.2 MB of resident memory
-# together; the functions that need them import them where they use them
+# fractions costs resident memory the transition engine never needs; the
+# exact tables import it where they use it
 
 from .algebraic import AlgebraicConfig, solve_branches
 from .errors import NearSingularConfiguration, ZeroFindingFailure
@@ -61,43 +60,40 @@ __all__ = [
     "explicit_coefficients",
     "t_poly",
     "l_poly",
-    "h_poly",
     "second_kind",
     "h_zeros",
 ]
 
 #: threshold below which a closed-form denominator counts as singular
 EPS_SING = 1e-8
+#: Newton polish of h_n's zeros: most steps, largest relative last step, and
+#: the complex step h, with P(x (1 + i h)) = P(x) + i h x P'(x) to rounding
+NEWTON_STEPS, NEWTON_TOL, COMPLEX_STEP = 8, 1e-13, 1e-30
 
 
 @dataclass(frozen=True)
 class Poly:
-    """A real polynomial.
+    """A real polynomial, a member of one of the recurrence families.
 
     Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``),
     rounded to doubles, with no trailing zeros except for the zero
-    polynomial itself.  A member of a recurrence family carries that
-    recurrence as ``recurrence(x)`` and is evaluated by running it at x;
-    it takes no part in equality.  Any other polynomial is evaluated from
-    its coefficients.
+    polynomial itself.  The member carries its recurrence as
+    ``recurrence(x)`` and is evaluated by running it at x; it takes no part
+    in equality.
     """
 
     coeffs: tuple[float, ...]
-    recurrence: Callable | None = field(default=None, compare=False, repr=False)
+    recurrence: Callable = field(compare=False, repr=False)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def __call__(self, x):
-        if self.recurrence is not None:
-            return self.recurrence(x)
-        from numpy.polynomial.polynomial import polyval
-
-        return polyval(x, self.coeffs)
+        return self.recurrence(x)
 
     @staticmethod
-    def from_exact(c, recurrence: Callable | None = None) -> "Poly":
+    def from_exact(c, recurrence: Callable) -> "Poly":
         """Round coefficients (Fractions or floats) to doubles and trim trailing zeros."""
         c = list(c)
         while len(c) > 1 and c[-1] == 0:
@@ -266,9 +262,6 @@ def dual_vector(p: QueueParams, r: int) -> VectorPoly:
 
     validate_params(p)
     require_int("r", r, -1)
-    if r == -1:
-        comps = tuple(Poly.from_exact([0.0]) for _ in range(p.m))
-        return VectorPoly(components=comps, r=-1)
     lam, mu = Fraction(p.lam), Fraction(p.mu)
     rows = _dual_table(p)
     for k in range(len(rows) - p.m, r - p.m + 1):
@@ -279,7 +272,8 @@ def dual_vector(p: QueueParams, r: int) -> VectorPoly:
             for prev, old in zip(rows[k], before)
         ])
     comps = tuple(
-        Poly.from_exact(c, functools.partial(_run_dual, p, j, r)) for j, c in enumerate(rows[r])
+        Poly.from_exact(c, functools.partial(_run_dual, p, j, r))
+        for j, c in enumerate(rows[r] if r >= 0 else [[0]] * p.m)  # q_{-1} = 0
     )
     return VectorPoly(components=comps, r=r)
 
@@ -364,7 +358,7 @@ def dual_explicit(p: QueueParams, r: int, j: int, z: complex) -> complex:
 
 
 # --------------------------------------------------------------------------
-# monic frames T, L and the symmetry reduction h
+# monic frames T, L and the zeros of the symmetry reduction h
 # --------------------------------------------------------------------------
 
 
@@ -385,53 +379,52 @@ def l_poly(p: QueueParams, n: int) -> Poly:
     return band_poly(p.m, (-p.mu, 1.0, p.mu * p.lam**p.m, 0.0), n)
 
 
-def h_poly(cfg: AlgebraicConfig, n: int) -> Poly:
-    """The reduced polynomial with ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``.
-
-    Its coefficients are those of ``T_n`` from degree ``n mod (m+1)`` on,
-    every (m+1)-th one.
-    """
-    require_int("n", n, 0)
-    return Poly.from_exact(t_poly(cfg, n).coeffs[n % (cfg.m + 1) :: cfg.m + 1])
-
-
 def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
     """Second-kind member ``T_{n,j}``: the shift ``T_{n-j}``, zero for n < j."""
     require_int("j", j, 1, cfg.m)
     require_int("n", n, 0)
-    return t_poly(cfg, n - j) if n >= j else Poly.from_exact([0.0])
+    if n < j:
+        return Poly.from_exact([0], functools.partial(np.multiply, 0.0))  # zeros shaped like x
+    return t_poly(cfg, n - j)
 
 
 def h_zeros(cfg: AlgebraicConfig, n: int) -> np.ndarray:
-    """Ascending real zeros of ``h_n`` (empty for ``n <= m``).
+    """Ascending zeros of ``h_n``, where ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``.
 
-    The zeros are eigenvalues of the companion matrix, polished by two
-    Newton steps.  They are provably real, simple and positive; the checks
-    here enforce that numerically.
+    There are ``d = n // (m+1)``, real, simple and positive.  Their (m+1)-th
+    roots are the d largest eigenvalues on the positive arm of T's n x n
+    section, ones on the superdiagonal and c on the m-th subdiagonal (Golub
+    & Welsch, Math. Comp. 23, 1969; Coussement & Van Assche, J. Comput.
+    Appl. Math. 178, 2005), polished by Newton's method on ``T_n``'s
+    recurrence, run at a complex step for ``T_n'``.
 
     Raises
     ------
     ZeroFindingFailure
-        If a zero refuses to polish to residual ``1e-10 * max|coeff|``, or
-        drifts off the real axis.
+        Unless d distinct positive zeros come out, each with a last Newton
+        step below ``NEWTON_TOL`` relative.
     """
-    from numpy.polynomial import polynomial as P
-
-    coeffs = np.asarray(h_poly(cfg, n).coeffs)
-    d = len(coeffs) - 1
+    require_int("n", n, 0)
+    m = cfg.m
+    d = n // (m + 1)
     if d == 0:
         return np.empty(0)
-    scale = np.max(np.abs(coeffs))
-    roots = np.roots(coeffs[::-1])
-    dcoeffs = P.polyder(coeffs)
-    for _ in range(2):
-        val = P.polyval(roots, coeffs)
-        der = P.polyval(roots, dcoeffs)
-        roots = roots - np.where(der != 0, val / np.where(der != 0, der, 1.0), 0.0)
-    if np.max(np.abs(roots.imag)) > 1e-8 * max(1.0, np.max(np.abs(roots))):
-        raise ZeroFindingFailure(f"complex zero among h_{n} roots for {cfg}")
-    roots = np.sort(roots.real)
-    res = np.abs(P.polyval(roots, coeffs))
-    if np.max(res) > 1e-10 * scale * max(1.0, np.max(np.abs(roots)) ** d):
-        raise ZeroFindingFailure(f"unpolished zero of h_{n}: residual {np.max(res):.3e}")
-    return roots
+    eig = np.linalg.eigvals(np.eye(n, k=1) + cfg.c * np.eye(n, k=-m))
+    zeta = np.sort(eig[np.abs(np.angle(eig)) < np.pi / (m + 1)].real)[::-1][:d]
+    t_n = t_poly(cfg, n)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            val = t_n(zeta * (1.0 + COMPLEX_STEP * 1j))
+            step = val.real * COMPLEX_STEP * zeta / val.imag
+            zeta = zeta - step
+            last = np.max(np.abs(step / zeta), initial=0.0)
+            if last < NEWTON_TOL:
+                break
+        xs = np.sort(zeta ** (m + 1))
+        gap = np.min(np.diff(xs) / xs[1:], initial=np.inf)
+    if len(xs) < d or not (last < NEWTON_TOL and gap > NEWTON_TOL and np.all(zeta > 0.0)):
+        raise ZeroFindingFailure(
+            f"no {d} distinct positive zeros of h_{n} for {cfg}: {len(xs)} on the arm, "
+            f"last Newton step {last:.1e} and smallest gap {gap:.1e}, relative"
+        )
+    return xs

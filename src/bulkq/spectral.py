@@ -14,7 +14,8 @@ are in the generator's x, over :func:`~bulkq.model.branch_config`.  Three layers
   differentiating the argument function: every pole is simple;
 * Gaussian-type quadrature -- nodes are the (m+1)-th roots of the zeros of
   the reduced polynomials, spread over the arms, with classical
-  second-kind-over-derivative weights.
+  second-kind-over-derivative weights, all from T's section and the
+  recurrences run at the nodes, none from monomial coefficients.
 
 The arm and the tube share one sin^2-graded panel rule (``_graded``) and
 one panel-doubling ladder (``_ladder``), which stops at the module's
@@ -47,7 +48,7 @@ from .algebraic import (
 )
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, branch_config, require_int, validate_params
-from .polynomials import dual_vector, h_poly, h_zeros, q_poly, t_poly
+from .polynomials import COMPLEX_STEP, dual_vector, h_zeros, q_poly, t_poly
 
 __all__ = [
     "QuadratureRule",
@@ -459,7 +460,9 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
     """Quadrature rule of index n on the star.
 
     Requires ``n >= m + 1`` so that the reduced polynomial has at least
-    one zero.  Weights are positive and sum (over all zeros and arms) to
+    one zero.  Its zeros come from :func:`~bulkq.polynomials.h_zeros`, its
+    weights from ``T_{n-1}`` and, at a complex step, ``T_n``, each run at
+    the nodes.  They are positive and sum (over all zeros and arms) to
     ``(m+1) c``.
 
     Raises
@@ -468,16 +471,16 @@ def star_quadrature(cfg: AlgebraicConfig, n: int) -> QuadratureRule:
         If a weight comes out nonpositive or nonfinite (a zero of the
         reduced polynomial was not resolved cleanly).
     """
-    from numpy.polynomial import polynomial as P  # not at import: see polynomials.py
-
     m = cfg.m
     require_int("n", n, m + 1)
     d, s = divmod(n, m + 1)
     xs = h_zeros(cfg, n)
     zeta = xs ** (1.0 / (m + 1))
-    # h_{n-1}(xs) through T_{n-1}(zeta) = zeta**((n-1) mod (m+1)) h_{n-1}(xs)
+    # h_{n-1}(xs) through T_{n-1}(zeta) = zeta**((n-1) mod (m+1)) h_{n-1}(xs),
+    # and h_n'(xs) = T_n'(zeta) zeta**(1-s) / ((m+1) xs) at a zero of T_n
     prev = t_poly(cfg, n - 1)(zeta) / zeta ** ((n - 1) % (m + 1))
-    lam_w = prev / P.polyval(xs, P.polyder(np.asarray(h_poly(cfg, n).coeffs)))
+    der = t_poly(cfg, n)(zeta * (1.0 + COMPLEX_STEP * 1j)).imag / (COMPLEX_STEP * zeta)
+    lam_w = prev / (der * zeta ** (1 - s) / ((m + 1) * xs))
     if s == 0:
         lam_w = lam_w * xs
     if not np.all(np.isfinite(lam_w)) or np.any(lam_w <= 0.0):

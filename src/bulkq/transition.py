@@ -4,9 +4,12 @@ P_{n,r}(t) inverts the Laplace transform of the resolvent entry on Talbot's
 contour (Weideman & Trefethen, Math. Comp. 76, 2007).  One banded solve per
 node gives a whole resolvent row, whose tail past the requested states is
 exactly a power of the dominant branch; point queries, row sums and the
-chain rule share that evaluator.  It refuses a time at which a pole or arm
-that matters lies outside the contour (m = 12 at t = 50, say); m <= 6 is
-tested up to t = 100.  The guard's poles, from
+chain rule share that evaluator.  Each accepted input gets a value within
+1e-6 of uniformization or a typed ``BulkqError``.  Values are tested at
+lam = 1, m in {1, 3, 6}, load 0.5 to 1.5 and t from 1e-8 to 100.  From m = 4
+on, t of about 15 to 50 can be refused ((lam, mu, m) = (1, 0.5, 6) at t = 20),
+when a pole or arm that matters lies outside the contour or the rules differ.
+The guard's poles, from
 :func:`~bulkq.spectral.resolvent_poles`, and arm samples are built once per
 parameter set.  :class:`TransitionQuery` alone checks the query domain,
 states up to ``STATE_CAP`` = 64.  On top sit honesty (row sums), the chain

@@ -160,7 +160,7 @@ def test_criterion_04_star_quadrature(capsys):
                 err = abs(rule.monomial_moment(nu) - want) / max(1.0, abs(want))
                 worst_exact = max(worst_exact, float(err))
         prev = None
-        for n in range(m + 1, 41):
+        for n in range(m + 1, 101):
             zs = h_zeros(cfg, n)
             if prev is not None and len(prev) > 0:
                 if len(zs) == len(prev):

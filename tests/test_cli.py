@@ -131,6 +131,18 @@ def test_transition_reports_nonconvergence(runner):
     assert "at t=50 the singular point x=" in result.output
 
 
+def test_transition_reports_rule_gap(runner):
+    # at (1, 0.5, 6) and t = 20 the guard passes but the two Talbot rules
+    # disagree above the tolerance: the command exits 1 and names both rules
+    result = runner.invoke(
+        main,
+        ["transition", "--lambda", "1", "--mu", "0.5", "--m", "6",
+         "--n", "64", "--r", "0", "--t", "20"],
+    )
+    assert result.exit_code == 1
+    assert "the 48- and 64-node Talbot rules differ by" in result.output
+
+
 def test_transition_far_tail_critical_entry(runner):
     # a far-tail entry in the critical case, where the panel ladder used to give up
     result = runner.invoke(

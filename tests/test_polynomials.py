@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from bulkq.algebraic import AlgebraicConfig, star_geometry
-from bulkq.errors import NearSingularConfiguration
+from bulkq.errors import NearSingularConfiguration, ZeroFindingFailure
 from bulkq.model import QueueParams
 from bulkq.operators import OperatorSpec
 from bulkq import polynomials
@@ -14,7 +15,6 @@ from bulkq.polynomials import (
     dual_explicit,
     dual_vector,
     explicit_coefficients,
-    h_poly,
     h_zeros,
     l_poly,
     q_explicit,
@@ -150,7 +150,6 @@ def test_polynomial_indices_must_be_integers(k):
         ("n", lambda: band_poly(3, (1.0, 1.0, 0.5, 2.0), k)),
         ("n", lambda: t_poly(cfg, k)),
         ("n", lambda: l_poly(p, k)),
-        ("n", lambda: h_poly(cfg, k)),
         ("n", lambda: h_zeros(cfg, k)),
         ("n", lambda: second_kind(cfg, k, 1)),
         ("j", lambda: second_kind(cfg, 5, k - 1)),
@@ -265,6 +264,8 @@ def test_dual_initial_rows():
     assert [c.coeffs for c in v.components] == [(0.0,), (1.0,)]
     zero = dual_vector(p, -1)
     assert all(c.coeffs == (0.0,) for c in zero.components)
+    x = np.array([0.5, 2 + 1j])
+    assert np.array_equal(zero(x), np.zeros((2, 2), dtype=complex))
 
 
 def test_dual_first_recurrence_row():
@@ -431,37 +432,12 @@ def test_band_poly_matches_fraction_oracle(spec):
 def test_second_kind_shift():
     cfg = AlgebraicConfig(c=1.0, m=2)
     assert second_kind(cfg, 0, 1).coeffs == (0.0,)
+    assert np.array_equal(second_kind(cfg, 1, 2)(np.arange(3.0)), np.zeros(3))
     assert second_kind(cfg, 2, 2).coeffs == (1.0,)
     assert second_kind(cfg, 5, 2).coeffs == t_poly(cfg, 3).coeffs
 
 
 # ----------------------------------------------------------------- h family
-
-
-def test_h_golden_m2():
-    cfg = AlgebraicConfig(c=1.0, m=2)
-    assert h_poly(cfg, 3).coeffs == (-1.0, 1.0)
-    assert h_poly(cfg, 4).coeffs == (-2.0, 1.0)
-    assert h_poly(cfg, 5).coeffs == (-3.0, 1.0)
-    for n in range(3):
-        assert h_poly(cfg, n).coeffs == (1.0,)
-
-
-def test_h_golden_m1():
-    assert h_poly(AlgebraicConfig(c=1.0, m=1), 4).coeffs == (1.0, -3.0, 1.0)
-
-
-@pytest.mark.parametrize("m,c", [(1, 1.0), (2, 1.0), (3, 0.5)])
-def test_h_recomposes_t(m, c):
-    cfg = AlgebraicConfig(c=c, m=m)
-    for n in range(0, 25):
-        hc = np.asarray(h_poly(cfg, n).coeffs)
-        rec = np.zeros(n + 1)
-        r = n % (m + 1)
-        for k, coef in enumerate(hc):
-            rec[r + k * (m + 1)] = coef
-        np.testing.assert_allclose(np.asarray(t_poly(cfg, n).coeffs), rec, rtol=1e-12, atol=1e-12)
-        assert h_poly(cfg, n).degree == n // (m + 1)
 
 
 def test_h_zeros_goldens():
@@ -470,6 +446,55 @@ def test_h_zeros_goldens():
     np.testing.assert_allclose(
         h_zeros(AlgebraicConfig(c=1.0, m=1), 4), [(3 - r5) / 2, (3 + r5) / 2], atol=1e-12
     )
+
+
+def _h_fractions(m, c, n):
+    """Exact h_n, every (m+1)-th coefficient of the Fraction T_n, after
+    checking that T_n has no other: T_n(z) = z**s h_n(z**(m+1))."""
+    t_n = band_table_fractions(m, (0, 1, c, 0), n)[n]
+    s = n % (m + 1)
+    assert all(a == 0 for k, a in enumerate(t_n) if k % (m + 1) != s)
+    return t_n[s :: m + 1]
+
+
+def _bracketed(h, xs, rel=1e-12):
+    """True when h changes sign exactly across each [x(1 - rel), x(1 + rel)],
+    the intervals are disjoint, and there are deg h of them."""
+    def sign(x):
+        acc = Fraction(0)
+        for a in reversed(h):
+            acc = acc * x + a
+        return acc > 0
+
+    ends = [(Fraction(x * (1 - rel)), Fraction(x * (1 + rel))) for x in xs]
+    disjoint = all(hi < lo for (_, hi), (lo, _) in zip(ends, ends[1:]))
+    flips = all(sign(lo) != sign(hi) for lo, hi in ends)
+    return len(xs) == len(h) - 1 and disjoint and flips
+
+
+@pytest.mark.parametrize(
+    "m,c,n",
+    [(1, 2.0, 60), (1, 2.0, 100), (4, 0.5, 100)]
+    + [(m, c, n) for m, c in [(2, 1.0), (3, 1.3824), (6, 0.7)] for n in (40, 60, 100)],
+)
+def test_h_zeros_bracketed_exactly(m, c, n):
+    # every zero within 1e-12 relative, proved by an exact sign change of
+    # h_n; no rounding in the check, and no zero missed.  The cases cover the
+    # sets and indices whose interlacing `bulkq validate` checks
+    zs = h_zeros(AlgebraicConfig(c=c, m=m), n)
+    assert _bracketed(_h_fractions(m, c, n), zs)
+
+
+def test_h_zeros_past_reach_raise_or_bracket():
+    # past the section's reach the zeros are still right, or refused
+    cfg = AlgebraicConfig(c=2.0, m=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            zs = h_zeros(cfg, 120)
+        except ZeroFindingFailure:
+            return
+    assert _bracketed(_h_fractions(1, 2.0, 120), zs)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -481,7 +506,7 @@ def test_h_zero_reality_positivity_interlacing(m):
         zs = h_zeros(cfg, n)
         assert len(zs) == n // (m + 1)
         assert np.all(zs > 0.0)
-        assert abs(h_poly(cfg, n)(0.0)) > 0.0
+        assert t_poly(cfg, n).coeffs[n % (m + 1)] != 0.0  # h_n(0), so no zero at 0
         if len(zs) > 1:
             assert np.min(np.diff(zs)) > 1e-8 * a_pow
         if prev is not None and len(prev) > 0:

@@ -86,7 +86,7 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_fractions_and_numpy_polynomial_unloaded():
     # together about 1.2 MB of resident memory that the transition engine
-    # never needs; the exact tables and the star quadrature import them
+    # never needs; the exact tables import fractions, and no module numpy.polynomial
     paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (

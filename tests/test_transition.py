@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bulkq import spectral
-from bulkq.errors import QuadratureNotConverged, TailNotControlled
+from bulkq.errors import BulkqError, QuadratureNotConverged, TailNotControlled
 from bulkq.model import QueueParams, build_generator
 from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization, truncation_size
 from bulkq.spectral import resolvent_poles
@@ -219,6 +221,27 @@ def test_domain_matches_uniformization(m, rho):
             got = transition_spectral(p, TransitionQuery(n, r, DOMAIN_TIMES)).values
             for t, v, mat in zip(DOMAIN_TIMES, got, mats):
                 assert abs(v - mat[n, r]) <= SPECTRAL_VS_EXPM, (n, r, t)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_agrees_with_uniformization_or_raises(seed):
+    # the contract on every accepted input: a value within the policy of
+    # uniformization, or a typed BulkqError; never a wrong value.  Hypothesis
+    # picks the seed; the draw is uniform in m, log lam, log rho, n, r, log t
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 21))
+    lam, rho = 10.0 ** rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-0.7, 0.5)
+    n, r = (int(k) for k in rng.integers(0, STATE_CAP + 1, size=2))
+    t = 10.0 ** rng.uniform(-8.0, 2.5)
+    p = QueueParams(lam, lam / (rho * m), m)
+    assume((p.lam + p.mu) * t <= 3000.0)
+    try:
+        got = transition_spectral(p, TransitionQuery(n, r, (t,))).values[0]
+    except BulkqError:
+        return
+    ref = expm_uniformization(p, truncation_size(p, t, max(n, r) + 2), t, rows=n + 1)
+    assert abs(got - ref[n, r]) <= SPECTRAL_VS_EXPM
 
 
 def test_cold_query_builds_the_singular_set_once(monkeypatch):
