@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -129,17 +130,54 @@ def build_generator(p: QueueParams, N: int) -> np.ndarray:
     return a
 
 
+def _pmf(a: float, i: int) -> float:
+    """P[Poisson(a) = i] for a > 0, as exp(-a + i log a - lgamma(i + 1))."""
+    return math.exp(-a + i * math.log(a) - math.lgamma(i + 1))
+
+
+def _poisson_terms(a: float, j: int, step: int, floor: float) -> list[float]:
+    """P[Poisson(a) = i] for i = j, j + step, ..., walking away from the mode.
+
+    ``j`` must lie on the side of the mode that ``step`` (+1 or -1) walks
+    away from, so the ratio r of consecutive terms stays below 1 and falls.
+    The first term comes from :func:`_pmf`, each next one is the last times
+    r, and the walk stops at i = 0 or once ``term * r / (1 - r)``, a bound
+    on all it leaves out, is at most ``floor``.
+    """
+    terms, i = [_pmf(a, j)], j
+    while True:
+        r = a / (i + 1) if step > 0 else i / a
+        if terms[-1] * r <= floor * (1.0 - r):
+            return terms
+        terms.append(terms[-1] * r)
+        i += step
+
+
 def poisson_tail(k: int, a: float) -> float:
-    """P[Poisson(a) > k] for integer k (1.0 when k < 0)."""
-    from scipy.special import gammainc  # deferred: scipy is heavy to import
+    """P[Poisson(a) > k] for integer k (1.0 when k < 0).
+
+    Sums the terms on the short side of k, down to a remainder below 1e-17
+    of the first: those above k when k + 1 >= a, else one minus those up
+    to k, so neither sum holds much more than half the mass.
+    """
     if k < 0:
         return 1.0
-    return float(gammainc(k + 1, a))
+    if a == 0.0:
+        return 0.0
+    j, step = (k + 1, 1) if k + 1 >= a else (k, -1)
+    total = math.fsum(_poisson_terms(a, j, step, 1e-17 * _pmf(a, j)))
+    return total if step > 0 else 1.0 - total
 
 
 def poisson_quantile(a: float, level: float) -> int:
-    """Smallest k with P[Poisson(a) > k] < level."""
-    k = max(0, int(a))
-    while poisson_tail(k, a) >= level:
-        k += 1
-    return k
+    """Smallest k >= floor(a) with P[Poisson(a) > k] < level.
+
+    One walk over the terms above floor(a), down to a remainder below
+    1e-17 of ``level``; their suffix sums are the tails.
+    """
+    k0 = max(0, int(a))
+    if a == 0.0:
+        return k0
+    terms = _poisson_terms(a, k0 + 1, 1, 1e-17 * level)
+    tails = list(accumulate(reversed(terms)))[::-1]  # tails[i] = P[Poisson(a) > k0 + i]
+    return k0 + next((i for i, tail in enumerate(tails) if tail < level), len(tails))

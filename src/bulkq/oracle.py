@@ -9,21 +9,32 @@ spectral engine:
   increment is exactly ``t^k A^k b / k!``, with executable error bounds;
 * Monte Carlo simulation — vectorized lockstep runs of the uniformized
   queue on a counter-based random stream, one run recording the state at
-  every requested horizon.  It draws Poisson event counts and uniforms
+  every requested horizon from every start.  A departure removes exactly
+  m, so the starts share the arrivals and the level of each is a
+  reflected walk of them.  It draws Poisson event counts and uniforms
   only, never builds the generator, and costs about reps * (lam + mu) *
-  t_max draws whatever the load.  Where mu >> lam and most runs sit below
-  m, most draws are self-loops: against the event-driven loop it replaced
-  it was 3.1-3.4x slower at (lam, mu, m) = (0.2, 5, 2) and 5.7-6.8x at
-  (0.1, 10, 1), and 1.3-3x faster at (1.2, 0.8, 3), (0.5, 2, 1),
-  (0.8, 1.5, 2) and (2, 1, 2) (20,000 replications, 9 starts, horizons
-  up to 29, CPU time on a 2-vCPU VM).
+  t_max draws whatever the load and however many starts share the run.
+  With 20,000 replications from the 9 starts 0..8 and horizons up to 29
+  (CPU time on a 2-vCPU VM), the one shared run was 5.3-9.4x faster than
+  one run per start.  Against 9 runs of the event-driven loop that the
+  uniformized one replaced, it was 1.7x faster at (lam, mu, m) =
+  (0.2, 5, 2), where mu >> lam and most draws are self-loops, 2.2x at
+  (0.1, 10, 1) and 8-20x at (1.2, 0.8, 3), (0.5, 2, 1), (0.8, 1.5, 2)
+  and (2, 1, 2).
 
 The cross-validation report runs all of them against the spectral values
 over a query grid and applies the package's tolerance policy.  Each oracle
-runs once per start state or per time, never once per grid cell: the
+runs once per time or per set of times, never once per grid cell: the
 uniformization rows up to the largest start per time, one Picard block
-carrying every start as a column per time, one simulation per start
-covering all of its times, and one spectral block solve for the whole grid.
+carrying every start as a column per time, one simulation per set of
+times covering every start with those times, and one spectral block solve
+for the whole grid.  The starts of a simulation share one stream on
+purpose: every count stays what a run from that start alone gives, at the
+price of Monte Carlo errors that are correlated across starts.
+
+The oracles use numpy alone: the banded products add their terms in the
+order scipy's CSR product does, and the Poisson weights come from
+:func:`math.lgamma`, so loading them costs no scipy import (about 25 MB).
 """
 
 from __future__ import annotations
@@ -31,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,12 +49,7 @@ from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import (
     QueueParams, build_generator, poisson_quantile, poisson_tail, require_int, validate_params,
 )
-from .transition import TransitionQuery, decay_rate, fitted_decay_rate, transition_block
-
-# scipy is imported where it is used: loading it costs about 25 MB and a
-# fifth of a second, which the spectral engine and most commands never need
-if TYPE_CHECKING:
-    from scipy import sparse
+from .transition import STATE_CAP, TransitionQuery, decay_rate, fitted_decay_rate, transition_block
 
 __all__ = [
     "PicardState",
@@ -86,6 +91,37 @@ def truncation_size(p: QueueParams, t: float, states: int) -> int:
     return N
 
 
+class _BandedT:
+    """The product ``g -> a^T g`` for a vector or an (N, cols) block g, from a's diagonals.
+
+    a is square, with a main diagonal that is not all zero.  The main
+    band's term comes first and the other bands' follow in ascending column
+    of a^T.  Where at most one band lies above the main one, as in the
+    generator, that is the order in which scipy's CSR product adds each
+    entry's terms, so the result is the same bit for bit (a zero inside a
+    band adds an exact zero).
+    """
+
+    def __init__(self, a: np.ndarray) -> None:
+        self.N = N = a.shape[0]
+        rows, cols = np.nonzero(a)
+        bands = []
+        for d in sorted(set((cols - rows).tolist()), key=lambda d: (d != 0, -d)):
+            band = a.diagonal(d)
+            # numpy multiplies by a scalar faster than by a broadcast column
+            band = float(band[0]) if (band == band[0]).all() else band[:, None].copy()
+            # a[j, j + d] carries g[j] into entry j + d: (band, source rows, target rows)
+            bands.append((band, slice(max(0, -d), N - max(0, d)), slice(max(0, d), N + min(0, d))))
+        (self.main, _, _), *self.rest = bands
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        h = g if g.ndim == 2 else g[:, None]
+        out = self.main * h
+        for band, src, dst in self.rest:
+            out[dst] += band * h[src]
+        return out if g.ndim == 2 else out[:, 0]
+
+
 def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = None) -> np.ndarray:
     """Truncated ``e^{tA}`` as a Poisson mixture of substochastic powers.
 
@@ -104,8 +140,6 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
         If N violates the drift precondition, or the leak target is still
         missed at the cap.
     """
-    from scipy import sparse
-    from scipy.special import gammaln
     validate_params(p)
     require_int("N", N, 1)
     if rows is None:
@@ -124,15 +158,15 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
             out = head
         else:
             ks = np.arange(poisson_quantile(a, UNIF_TOL) + 1)
-            w = np.exp(-a + ks * math.log(a) - gammaln(ks + 1))
-            # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1
-            s_mat = sparse.csr_matrix(np.eye(N) + build_generator(p, N) / (p.lam + p.mu))
-            # the terms are carried transposed, S^T applied to them: dense @ CSR
-            # would transpose S on every term
-            s_t, term_t = s_mat.T, head.T
+            log_fact = np.array([math.lgamma(k + 1) for k in ks.tolist()])
+            w = np.exp(-a + ks * math.log(a) - log_fact)
+            # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1; the
+            # terms are carried transposed, as columns, with S^T applied to them
+            s_t = _BandedT(np.eye(N) + build_generator(p, N) / (p.lam + p.mu))
+            term_t = np.ascontiguousarray(head.T)
             out = w[0] * head
             for wk in w[1:]:
-                term_t = s_t @ term_t
+                term_t = s_t(term_t)
                 out += wk * term_t.T
         leak = 1.0 - float(out.sum(axis=1).min())
         if leak <= LEAK_TOL + UNIF_TOL:
@@ -190,8 +224,6 @@ def picard_solve(
     IterationBudgetExceeded
         If ``tol`` is given and K fails the tail certificate.
     """
-    from scipy import sparse
-    from scipy.special import gammaln
     validate_params(p)
     require_int("N", N, 1)
     require_int("n", n, 0)
@@ -209,12 +241,11 @@ def picard_solve(
                 f"tail certificate {tail:.2e} at K={K} not below {tol:.0e} "
                 f"(rule of thumb: K >= e*l*M*t + margin = {math.e * a:.0f} + margin)"
             )
-    gen_t = sparse.csr_matrix(build_generator(p, N).T)
     b = np.zeros(N)
     b[n] = 1.0
-    y, sups = _picard(gen_t, b, t, K, track=True)
+    y, sups = _picard(_BandedT(build_generator(p, N)), b, t, K, track=True)
     bounds = [
-        0.0 if a == 0.0 else float(np.exp(k * math.log(a) - gammaln(k + 1)))
+        0.0 if a == 0.0 else float(np.exp(k * math.log(a) - math.lgamma(k + 1)))
         for k in range(1, K + 1)
     ]
     return PicardState(
@@ -227,35 +258,37 @@ def picard_solve(
     )
 
 
-def _picard(gen_t: sparse.csr_matrix, b: np.ndarray, t: float, K: int, track: bool = False):
+def _picard(gen_t: _BandedT, b: np.ndarray, t: float, K: int, track: bool = False):
     """``b + g_1 + ... + g_K``, ``g_k = (t/k) A^T g_{k-1}``, for a vector or block ``b``.
 
-    With ``track``, also the sup norm of every increment (else an empty list).
+    ``gen_t`` applies A^T (a :class:`_BandedT`).  With ``track``, also the
+    sup norm of every increment (else an empty list).
     """
     y, g, sups = b.copy(), b, []
     for k in range(1, K + 1):
-        g = (t / k) * (gen_t @ g)
-        y = y + g
+        g = gen_t(g)
+        g *= t / k
+        y += g
         if track:
             sups.append(float(np.max(np.abs(g))))
     return y, sups
 
 
-def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) -> np.ndarray:
+def _picard_chain(p: QueueParams, gen_t: _BandedT, starts, t: float) -> np.ndarray:
     """Rows ``starts`` of P(t) as the columns of one block, by short Picard legs.
 
     A single Taylor run over a long horizon climbs a hump of increments
     of size up to e^{lMt} before cancelling back to probabilities, and
     the round-off from the hump survives; capping each leg at lM*dt <= 10
     keeps the intermediate terms small, and the legs chain by the
-    semigroup property.  The sparse product treats each column on its
-    own, so a column equals the one-column block bit for bit.
+    semigroup property.  The banded product ``gen_t`` treats each column
+    on its own, so a column equals the one-column block bit for bit.
     """
     a_full = (p.m + 2) * (p.lam + p.mu) * t
     legs = max(1, math.ceil(a_full / 10.0))
     dt = t / legs
     K = poisson_quantile(a_full / legs, 1e-12) + 5
-    y = np.zeros((gen_t.shape[0], len(starts)))
+    y = np.zeros((gen_t.N, len(starts)))
     y[starts, np.arange(len(starts))] = 1.0
     for _ in range(legs):
         y, _ = _picard(gen_t, y, dt, K)
@@ -266,7 +299,8 @@ def _picard_chain(p: QueueParams, gen_t: sparse.csr_matrix, starts, t: float) ->
 class McConfig:
     """Replication count, stream seed, start state and horizon.
 
-    An integral float start becomes an int.
+    The start is an integer in [0, ``STATE_CAP``], the spectral engine's
+    domain; an integral float becomes an int, and a bool is refused.
     """
 
     replications: int
@@ -277,9 +311,12 @@ class McConfig:
     def __post_init__(self) -> None:
         require_int("replications", self.replications, 1)
         require_int("seed", self.seed, 0)
-        if not (self.start >= 0 and float(self.start).is_integer()):
-            raise ValueError(f"start state must be an integer >= 0, got {self.start}")
-        object.__setattr__(self, "start", int(self.start))
+        start = self.start
+        if start > STATE_CAP:
+            raise ValueError(f"start must be <= {STATE_CAP}, got {start}")
+        if isinstance(start, bool) or not (start >= 0 and float(start).is_integer()):
+            raise ValueError(f"start state must be an integer >= 0, got {start!r}")
+        object.__setattr__(self, "start", int(start))
         if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
             raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
 
@@ -297,8 +334,8 @@ class McResult:
     replications: int
 
 
-def _lockstep(p: QueueParams, start: int, horizons, reps: int, seed: int) -> np.ndarray:
-    """State histograms of ``reps`` runs of the queue from ``start``, one per horizon.
+def _lockstep(p: QueueParams, starts, horizons, reps: int, seed: int):
+    """State histograms of ``reps`` runs of the queue from each start, one per horizon.
 
     ``horizons`` must ascend.  The runs are uniformized (Jensen 1953): every
     replication sees events at the constant rate q = lam + mu, and an event
@@ -308,12 +345,27 @@ def _lockstep(p: QueueParams, start: int, horizons, reps: int, seed: int) -> np.
     horizons (Poisson, never truncated), so a horizon sees the state after
     its cumulative count of events.  The replications are stably sorted by
     descending total, which keeps the ones with events left a prefix, and
-    round k records the state of every (replication, horizon) pair whose
-    count is k and then draws one uniform per replication still live.
+    round k records every (replication, horizon) pair whose count is k and
+    then draws one uniform per replication still live.
+
+    Every start shares that stream.  A departure removes exactly m, so the
+    residue of the state mod m moves only with the arrivals, and the level
+    floor(state / m) is a reflected walk (Lindley 1952; Bailey 1954).
+    After k events, A of them arrivals, a start n = m l0 + c with c < m has
+    free walk W = floor((c + A) / m) - (k - A), which arrivals lift by the
+    carries of c + A and every other event lowers by 1.  At level 0 such
+    an event is a self-loop (the level goes to max(level - 1, 0)), so the
+    level is W plus the reflection max(l0, -L), L the running minimum of W
+    over 0..k (W = 0 at k = 0).
+    So the state is m (W + max(l0, -L)) + (c + A) mod m, and one A and one
+    L per residue class c in use carry every start.  Round k costs one
+    draw, one compare and one pass for A, then four passes per class.
     The run takes about q * max(horizons) rounds and reps * q *
     max(horizons) draws whatever the load; memory is O(reps * horizons).
-    Returns int64 counts of shape (len(horizons), S), S one past the larger
-    of ``start`` and the largest state counted.
+
+    Returns, per start, int64 counts of shape (len(horizons), S), S one past
+    the larger of the start and the largest state counted: a list for a
+    sequence of starts, the one array for a single int start.
     """
     hs = np.asarray(horizons, dtype=float)
     rng = np.random.Generator(np.random.Philox(seed))
@@ -329,24 +381,43 @@ def _lockstep(p: QueueParams, start: int, horizons, reps: int, seed: int) -> np.
     pair_rep = pairs // hs.size
     edges = np.concatenate(([0], np.cumsum(np.bincount(flat)))).tolist()
     live = (reps - np.cumsum(np.bincount(events[:, -1]))).tolist()  # replications with > k events
-    state = np.full(reps, start, dtype=np.int32)
-    seen = np.empty(pairs.size, dtype=state.dtype)
+    m = p.m
+    ns = np.atleast_1d(starts).tolist()
+    classes = sorted({n % m for n in ns})
+    arrivals = np.zeros(reps, dtype=np.int32)
+    low = {c: np.zeros(reps, dtype=np.int32) for c in classes}  # running minima L of W
+    seen_arrivals = np.empty(pairs.size, dtype=np.int32)
+    seen_low = {c: np.empty(pairs.size, dtype=np.int32) for c in classes}
     u = np.empty(reps)
+    walk = np.empty(reps, dtype=np.int32)
     p_arrive = p.lam / q
     for k, n_live in enumerate(live):
         lo, hi = edges[k], edges[k + 1]
         if hi > lo:
-            seen[lo:hi] = state[pair_rep[lo:hi]]
+            at = pair_rep[lo:hi]
+            seen_arrivals[lo:hi] = arrivals[at]
+            for c in classes:
+                seen_low[c][lo:hi] = low[c][at]
         if n_live == 0:
             break
-        s = state[:n_live]
-        arrive = rng.random(out=u[:n_live]) < p_arrive
-        depart = (s >= p.m) > arrive
-        s += arrive
-        s -= depart.astype(s.dtype) * p.m
-    S = max(start, int(seen.max())) + 1
-    counts = np.bincount((pairs % hs.size) * S + seen, minlength=hs.size * S)
-    return counts.reshape(hs.size, S)
+        a = arrivals[:n_live]
+        a += rng.random(out=u[:n_live]) < p_arrive
+        w = walk[:n_live]
+        for c in classes:
+            # W after k + 1 events: floor((c + A - m (k + 1)) / m) + A
+            np.add(a, c - m * (k + 1), out=w)
+            w //= m
+            w += a
+            np.minimum(low[c][:n_live], w, out=low[c][:n_live])
+    # after k events the state from n is n + A - m (k - A) + m max(0, -(l0 + L))
+    free = seen_arrivals - m * (flat[pairs].astype(np.int32) - seen_arrivals)
+    counts = []
+    for n in ns:
+        state = n + free + m * np.maximum(0, -(n // m) - seen_low[n % m])
+        S = max(n, int(state.max())) + 1
+        flat_counts = np.bincount((pairs % hs.size) * S + state, minlength=hs.size * S)
+        counts.append(flat_counts.reshape(hs.size, S))
+    return counts if np.ndim(starts) else counts[0]
 
 
 def _mc_result(counts: np.ndarray, reps: int) -> McResult:
@@ -361,15 +432,15 @@ def simulate_mc(p: QueueParams, cfg: McConfig) -> McResult:
     Each replication sees Poisson((lam + mu) * horizon) events, drawn up
     front and never truncated, so the law is exact; each event is an
     arrival with probability lam/(lam+mu), else a batch departure removing
-    m when at least m wait, else a self-loop.  This is the one-horizon case
-    of the run :func:`cross_validate` makes per start state, on one
-    counter-based (Philox) stream, so a given seed reproduces the result
-    bit for bit.  It costs about replications * (lam + mu) * horizon
+    m when at least m wait, else a self-loop.  This is the one-start,
+    one-horizon case of the run :func:`cross_validate` makes per set of
+    times, on one counter-based (Philox) stream, so a given seed reproduces
+    the result bit for bit.  It costs about replications * (lam + mu) * horizon
     uniform draws, whatever the load (see the module docstring for where
     that is slow).
     """
     validate_params(p)
-    counts = _lockstep(p, cfg.start, (cfg.horizon,), cfg.replications, cfg.seed)
+    counts = _lockstep(p, (cfg.start,), (cfg.horizon,), cfg.replications, cfg.seed)[0]
     return _mc_result(counts[0], cfg.replications)
 
 
@@ -425,11 +496,14 @@ def cross_validate(
     at criticality, where the rate is 0 — that assertion is skipped.
     An empty grid passes vacuously.
 
-    Each engine runs once per time or per start, not per point: the
-    uniformization rows up to the largest start and one Picard block per
-    time, one simulation per start over all of its times (every start
-    reuses ``seed``), and one :func:`~bulkq.transition.transition_block`
-    call for the grid.
+    Each engine runs once per time or per set of times, not per point:
+    the uniformization rows up to the largest start and one Picard block
+    per time, one simulation per set of times for every start with
+    exactly those times, and one :func:`~bulkq.transition.transition_block`
+    call for the grid.  The starts share the stream of ``seed`` on
+    purpose: each start's counts are those of a run from it alone, so the
+    column does not depend on which other starts the grid holds, but the
+    Monte Carlo errors of different starts are correlated.
 
     Raises
     ------
@@ -439,7 +513,6 @@ def cross_validate(
         or a time is not finite and >= 0; all are checked before any engine
         runs.
     """
-    from scipy import sparse
     validate_params(p)
     require_int("mc_reps", mc_reps, 0)
     require_int("seed", seed, 0)
@@ -457,16 +530,16 @@ def cross_validate(
     times_from = _grouped((n, t) for n, _, t in pts)
     mats = {t: expm_uniformization(p, N, t, rows=n_max + 1) for t in starts_at}
     N = max(mat.shape[1] for mat in mats.values())  # pick up any auto-doubling
-    gen_t = sparse.csr_matrix(build_generator(p, N).T)
+    gen_t = _BandedT(build_generator(p, N))
     pic: dict[tuple[int, float], np.ndarray] = {}
     for t, starts in starts_at.items():
         block = _picard_chain(p, gen_t, starts, t)
         pic.update(((n, t), block[:, j]) for j, n in enumerate(starts))
     mc: dict[tuple[int, float], McResult] = {}
     if mc_reps > 0:
-        for n, horizons in times_from.items():
-            counts = _lockstep(p, n, horizons, mc_reps, seed)
-            mc.update(((n, t), _mc_result(row, mc_reps)) for t, row in zip(horizons, counts))
+        for horizons, starts in _grouped((tuple(ts), n) for n, ts in times_from.items()).items():
+            for n, counts in zip(starts, _lockstep(p, starts, horizons, mc_reps, seed)):
+                mc.update(((n, t), _mc_result(row, mc_reps)) for t, row in zip(horizons, counts))
     spec = [res.values[0] for res in transition_block(p, queries)]
     rows = []
     worst_spec = worst_pic = 0.0

@@ -199,6 +199,17 @@ def test_simulate_rejects_bad_replications(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("start", ["65", str(2**31)])
+def test_simulate_rejects_a_start_past_the_cap(runner, start):
+    result = runner.invoke(
+        main,
+        ["simulate", "--lambda", "1", "--mu", "1", "--m", "2",
+         "--start", start, "--t", "1", "--reps", "10"],
+    )
+    assert result.exit_code == 2
+    assert f"start must be <= 64, got {start}" in result.output
+
+
 @pytest.mark.parametrize(
     "command",
     [

@@ -1,12 +1,16 @@
 import dataclasses
+import math
 import pickle
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from bulkq import TransitionQuery, cross_validate, sigma_apply, transition_spectral
 from bulkq.errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
-from bulkq.model import QueueParams, build_generator, validate_params
+from bulkq.model import (
+    QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params,
+)
 from bulkq.spectral import resolvent_poles
 
 
@@ -105,3 +109,28 @@ def test_generator_is_immutable():
 def test_critical_flag():
     assert QueueParams(2.0, 1.0, 2).is_critical
     assert not QueueParams(1.0, 1.0, 2).is_critical
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-12, 0.3, 2.0, 10.0, 60.0, 600.0, 6000.0, 3e5])
+def test_poisson_tail_matches_the_incomplete_gamma(a):
+    # P[Pois(a) > k] = P(k + 1, a), the regularized lower incomplete gamma
+    assert poisson_tail(-1, a) == 1.0 and poisson_tail(-7, a) == 1.0
+    sd = max(1.0, math.sqrt(a))
+    ks = {0, 1, 2, int(a), int(a) + 1}
+    ks |= {int(a + z * sd) for z in (-30, -8, -3, -1, 1, 3, 8, 20, 35) if a + z * sd >= 0}
+    for k in sorted(ks):
+        want = float(gammainc(k + 1, a))
+        assert abs(poisson_tail(k, a) - want) <= 1e-7 * want, (k, a)
+
+
+def _scipy_quantile(a, level):
+    k = max(0, int(a))
+    while gammainc(k + 1, a) >= level:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("level", [1e-9, 1e-10, 1e-12])
+def test_poisson_quantile_matches_the_incomplete_gamma_loop(level):
+    for a in (0.0, 1e-6, 0.3, 2.0, 10.0, 37.7, 60.0, 600.0, 6000.0, 3e5):
+        assert poisson_quantile(a, level) == _scipy_quantile(a, level), a

@@ -187,12 +187,28 @@ def test_picard_block_columns_match_single_column():
     t, starts = 30.0, list(range(9))
     ref = expm_uniformization(p, 256, t, rows=len(starts))
     N = ref.shape[1]
-    gen_t = sparse.csr_matrix(build_generator(p, N).T)
+    gen_t = oracle._BandedT(build_generator(p, N))
     block = _picard_chain(p, gen_t, starts, t)
     assert block.shape == (N, len(starts))
     for j, n in enumerate(starts):
         assert np.array_equal(block[:, j], _picard_chain(p, gen_t, [n], t)[:, 0])
     assert np.max(np.abs(block.T - ref[starts])) <= PICARD_VS_EXPM
+
+
+@pytest.mark.parametrize("p", PARAM_SETS + [QueueParams(lam=0.5, mu=2.0, m=1)])
+@pytest.mark.parametrize("N", [64, 256, 1024])
+def test_banded_product_matches_csr_bit_for_bit(p, N):
+    # the generator A and the uniformized S = I + A/q, on one column and on
+    # nine, against the CSR products the oracles used before
+    gen = build_generator(p, N)
+    rng = np.random.default_rng(N)
+    for a in (gen, np.eye(N) + gen / (p.lam + p.mu)):
+        banded, csr = oracle._BandedT(a), sparse.csr_matrix(a.T)
+        blocks = (rng.standard_normal(N), rng.random((N, 9)), np.asfortranarray(rng.random((N, 9))))
+        for g in blocks:
+            got, want = banded(g), csr @ g
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_picard_rejects_bad_inputs():
@@ -292,6 +308,18 @@ def test_mc_config_validation():
     assert res.freq.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("start", [65, 2**31])
+def test_mc_config_refuses_a_start_past_the_cap(start):
+    with pytest.raises(ValueError, match=f"^start must be <= 64, got {start}$"):
+        McConfig(replications=10, seed=1, start=start, horizon=1.0)
+
+
+def test_mc_config_refuses_a_bool_start():
+    with pytest.raises(ValueError, match="start state must be an integer >= 0, got True"):
+        McConfig(replications=10, seed=1, start=True, horizon=1.0)
+    assert McConfig(replications=10, seed=1, start=64.0, horizon=1.0).start == 64
+
+
 def test_lockstep_zero_horizon_is_point_mass():
     p = QueueParams(lam=1.0, mu=1.0, m=2)
     counts = _lockstep(p, 4, (0.0, 1.0), 500, 1)
@@ -358,6 +386,64 @@ def test_lockstep_below_m_is_poisson_arrivals():
                 continue
             sigma = math.sqrt(total * prob * (1.0 - prob))
             assert abs(obs - total * prob) <= 3.0 * sigma
+
+
+def _state_loop(p, start, horizons, reps, seed):
+    """The one-start kernel the level walk replaced: it steps the state itself."""
+    hs = np.asarray(horizons, dtype=float)
+    rng = np.random.Generator(np.random.Philox(seed))
+    q = p.lam + p.mu
+    events = np.cumsum(rng.poisson(q * np.diff(hs, prepend=0.0), size=(reps, hs.size)), axis=1)
+    events = events.astype(np.min_scalar_type(events[:, -1].max()))
+    total = events[:, -1]
+    events = events[np.argsort(total.max() - total, kind="stable")]
+    flat = events.ravel()
+    pairs = np.argsort(flat, kind="stable")
+    pair_rep = pairs // hs.size
+    edges = np.concatenate(([0], np.cumsum(np.bincount(flat)))).tolist()
+    live = (reps - np.cumsum(np.bincount(events[:, -1]))).tolist()
+    state = np.full(reps, start, dtype=np.int32)
+    seen = np.empty(pairs.size, dtype=state.dtype)
+    u = np.empty(reps)
+    for k, n_live in enumerate(live):
+        seen[edges[k]:edges[k + 1]] = state[pair_rep[edges[k]:edges[k + 1]]]
+        if n_live == 0:
+            break
+        s = state[:n_live]
+        arrive = rng.random(out=u[:n_live]) < p.lam / q
+        depart = (s >= p.m) > arrive
+        s += arrive
+        s -= depart.astype(s.dtype) * p.m
+    S = max(start, int(seen.max())) + 1
+    counts = np.bincount((pairs % hs.size) * S + seen, minlength=hs.size * S)
+    return counts.reshape(hs.size, S)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        QueueParams(lam=1.0, mu=2.0, m=1),
+        QueueParams(lam=1.0, mu=1.0, m=2),
+        QueueParams(lam=1.2, mu=0.8, m=3),
+        QueueParams(lam=2.0, mu=0.4, m=12),
+    ],
+)
+def test_lockstep_walk_matches_one_start_runs(p):
+    # starts that mix residues and levels share one run; each start's counts
+    # equal its own run and the state-stepping kernel bit for bit, at a zero
+    # horizon and at a repeated one (every count repeats there)
+    m = p.m
+    starts = sorted({0, 1, m - 1, m, m + 1, 2 * m + 1, 3 * m, 64})
+    horizons, reps, seed = (0.0, 0.4, 2.5, 2.5, 6.0), 3000, 17
+    multi = _lockstep(p, starts, horizons, reps, seed)
+    assert len(multi) == len(starts)
+    for n, counts in zip(starts, multi):
+        single = _lockstep(p, n, horizons, reps, seed)
+        assert counts.dtype == single.dtype == np.int64
+        assert counts.shape == single.shape and np.array_equal(counts, single)
+        ref = _state_loop(p, n, horizons, reps, seed)
+        assert counts.shape == ref.shape and np.array_equal(counts, ref)
+        assert counts[0, n] == reps and np.array_equal(counts[2], counts[3])
 
 
 def test_simulate_mc_shares_no_code_with_uniformization(monkeypatch):
@@ -468,7 +554,7 @@ def test_cross_validate_runs_each_oracle_once_per_start_or_time(monkeypatch):
     grid = [(n, r, t) for n in range(9) for r in range(9) for t in (0.5, 1.0, 2.0)]
     rep = cross_validate(p, grid, mc_reps=200, seed=1)
     assert [row[:3] for row in rep.rows] == grid
-    assert calls == Counter(transition_block=1, _lockstep=9, _picard_chain=3)
+    assert calls == Counter(transition_block=1, _lockstep=1, _picard_chain=3)
 
 
 def test_cross_validate_mc_column_is_simulate_mc():
@@ -477,6 +563,27 @@ def test_cross_validate_mc_column_is_simulate_mc():
     rep = cross_validate(p, grid, mc_reps=2000, seed=5)
     for n, r, t, *_, sim in rep.rows:
         res = simulate_mc(p, McConfig(replications=2000, seed=5, start=n, horizon=t))
+        assert sim == (res.freq[r] if r < len(res.freq) else 0.0)
+
+
+def test_cross_validate_one_simulation_per_set_of_times(monkeypatch):
+    calls = []
+
+    def counted(p, starts, horizons, reps, seed, _real=oracle._lockstep):
+        calls.append((tuple(starts), tuple(horizons)))
+        return _real(p, starts, horizons, reps, seed)
+
+    monkeypatch.setattr(oracle, "_lockstep", counted)
+    p = QueueParams(lam=1.0, mu=1.0, m=2)
+    grid = [(0, r, t) for r in range(6) for t in (1.0, 2.0)] + [(3, r, 1.5) for r in range(6)]
+    rep = cross_validate(p, grid, mc_reps=4000, seed=5)
+    assert sorted(calls) == [((0,), (1.0, 2.0)), ((3,), (1.5,))]
+    own = {}
+    for n, times in ((0, (1.0, 2.0)), (3, (1.5,))):
+        rows = _lockstep(p, n, times, 4000, 5)
+        own.update(((n, t), _mc_result(row, 4000)) for t, row in zip(times, rows))
+    for n, r, t, *_, sim in rep.rows:
+        res = own[n, t]
         assert sim == (res.freq[r] if r < len(res.freq) else 0.0)
 
 

@@ -73,11 +73,27 @@ def test_algebraic_config_is_c_and_m():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy costs about 25 MB of resident memory; only the oracles and a few
-    # checks need it, and they import it where they use it
+    # scipy costs about 25 MB of resident memory; only operators.resolvent
+    # needs it and imports it where it is used, so neither the import nor a
+    # run of the oracles and checks loads it
     paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = "import sys, bulkq; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+    code = (
+        "import sys\n"
+        "from bulkq import *\n"
+        "p = QueueParams(lam=1.0, mu=1.0, m=2)\n"
+        "assert cross_validate(p, [(0, 1, 0.5), (2, 0, 1.0)], mc_reps=500, seed=1).passed\n"
+        "picard_solve(p, 0, 64, 1.0, 60, tol=1e-8)\n"
+        "simulate_mc(p, McConfig(replications=100, seed=1, start=3, horizon=1.0))\n"
+        "honesty_check(p, 2, 1.5, 42)\n"
+        "expm_uniformization(p, 64, 2.0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
