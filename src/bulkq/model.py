@@ -33,6 +33,8 @@ __all__ = [
     "branch_config",
     "require_int",
     "validate_params",
+    "generator_bands",
+    "band_section",
     "build_generator",
     "poisson_tail",
     "poisson_quantile",
@@ -102,30 +104,41 @@ def validate_params(p: QueueParams) -> None:
         raise ZeroBatchSize(str(exc)) from None
 
 
-def build_generator(p: QueueParams, N: int) -> np.ndarray:
-    """Assemble the N x N section of the generator, as a read-only array.
-
-    Row ``i < m`` holds (-lam, lam) on the diagonal/superdiagonal; row
-    ``i >= m`` holds mu at column ``i - m``, ``-(lam + mu)`` on the diagonal
-    and lam on the superdiagonal.  Interior rows sum to zero exactly.  Bands
-    that stick out of the section are simply dropped, which makes the last
-    row's sum negative; oracles compensate by taking N large.
-
-    Raises
-    ------
-    TruncationTooSmall
-        If ``N < m + 2`` (no complete interior row would exist).
-    """
+def generator_bands(p: QueueParams) -> tuple[float, float, float, float]:
+    """Validate p and return the generator's bands ``(lam, lam, mu, lam + mu)``."""
     validate_params(p)
-    if N < p.m + 2:
-        raise TruncationTooSmall(f"need N >= m + 2 = {p.m + 2}, got {N}")
-    lam, mu, m = p.lam, p.mu, p.m
+    return (p.lam, p.lam, p.mu, p.lam + p.mu)
+
+
+def band_section(m: int, bands: tuple, N: int) -> np.ndarray:
+    """Dense N x N section of the three-band operator with lower band m.
+
+    ``bands = (gamma, iota, eta, xi)`` puts -gamma on the first m diagonal
+    entries and -xi after them, iota on the superdiagonal and eta m below
+    the diagonal; the bands that stick out of the section are dropped.
+    Raises :class:`TruncationTooSmall` if ``N < m + 2``.
+    """
+    if N < m + 2:
+        raise TruncationTooSmall(f"need N >= m + 2 = {m + 2}, got {N}")
+    gamma, iota, eta, xi = bands
     a = np.zeros((N, N))
     idx = np.arange(N)
-    a[idx[:-1], idx[:-1] + 1] = lam
-    a[idx[:m], idx[:m]] = -lam
-    a[idx[m:], idx[m:]] = -(lam + mu)
-    a[idx[m:], idx[m:] - m] = mu
+    a[idx[:-1], idx[:-1] + 1] = iota
+    a[idx[:m], idx[:m]] = -gamma
+    a[idx[m:], idx[m:]] = -xi
+    a[idx[m:], idx[m:] - m] = eta
+    return a
+
+
+def build_generator(p: QueueParams, N: int) -> np.ndarray:
+    """The N x N :func:`band_section` of the generator, as a read-only array.
+
+    Interior rows sum to zero exactly; the last row's sum is negative, as
+    its superdiagonal is cut off, and oracles compensate by taking N large.
+    Raises :class:`TruncationTooSmall` if ``N < m + 2`` (no complete
+    interior row would exist).
+    """
+    a = band_section(p.m, generator_bands(p), N)
     a.flags.writeable = False
     return a
 

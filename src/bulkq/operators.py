@@ -5,17 +5,17 @@ diagonal ``-gamma`` on the first m entries and ``-xi`` after them, and a
 band ``eta`` m below the diagonal.  :meth:`OperatorSpec.bands` gives those
 four values for each case:
 
-* ``A`` — the queue generator itself,
+* ``A`` — the queue generator itself (:func:`~bulkq.model.generator_bands`),
 * ``T`` — the monic normalization (superdiagonal 1, lower band ``c``),
 * ``L`` — ``T`` plus ``mu`` on the first m diagonal entries,
 * ``H`` — the four-parameter generic pattern covering all of the above.
 
-:func:`build_matrix` turns the bands into a dense section, and the matching
-polynomial family comes from the same bands through
-:func:`~bulkq.polynomials.band_poly` (``A`` through the exact ``q_poly``).
-The module provides the basis-jump identities (each unit vector is the
-matching polynomial of the operator applied to the starting data), moments,
-and resolvent samples from banded solves.  These are the *operator-side*
+:func:`build_matrix` turns the bands into a dense section through
+:func:`~bulkq.model.band_section`, and the matching polynomial family comes
+from the same bands through :func:`~bulkq.polynomials.band_poly` (``A``
+through the exact ``q_poly``).  The module provides the basis-jump
+identities (each unit vector is the matching polynomial of the operator
+applied to the starting data) and moments.  These are the *operator-side*
 ground truth against which the spectral layer is validated; the dual and
 bi-orthogonality checks read ``A`` from :func:`~bulkq.model.build_generator`.
 """
@@ -26,20 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebraic import AlgebraicConfig
-from .errors import InsideSupport, TruncationNotConverged, TruncationTooSmall
-from .model import QueueParams, build_generator, require_int, validate_params
+from .errors import TruncationTooSmall
+from .model import QueueParams, band_section, build_generator, generator_bands, require_int
 from .polynomials import band_poly, dual_vector, q_poly
 
 __all__ = [
     "OperatorSpec",
-    "ResolventSample",
     "build_matrix",
     "basis_jump_check",
     "dual_jump_check",
     "biorthogonality_check",
     "moment",
-    "resolvent",
     "lambda_conjugation_residual",
 ]
 
@@ -68,12 +65,9 @@ class OperatorSpec:
         return self.params.m
 
     def bands(self) -> tuple[float, float, float, float]:
-        """(gamma, iota, eta, xi): diag[:m] = -gamma, super = iota,
-        sub-m = eta, diag[m:] = -xi."""
+        """(gamma, iota, eta, xi), in :func:`~bulkq.model.band_section`'s layout."""
         if self.kind == "A":
-            p = self.params
-            validate_params(p)
-            return (p.lam, p.lam, p.mu, p.lam + p.mu)
+            return generator_bands(self.params)
         if self.kind == "T":
             return (0.0, 1.0, self.params.c, 0.0)
         if self.kind == "L":
@@ -84,29 +78,9 @@ class OperatorSpec:
         raise ValueError(f"unknown operator kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ResolventSample:
-    """One resolvent value ((zI - M)^{-1} e_{j-1}) . e_0 with the N used."""
-
-    j: int
-    z: complex
-    value: complex
-    N: int
-
-
 def build_matrix(spec: OperatorSpec) -> np.ndarray:
     """Dense N x N section with the spec's band pattern."""
-    g, i_, e, x = spec.bands()
-    m, N = spec.m, spec.N
-    if N < m + 2:
-        raise TruncationTooSmall(f"need N >= m + 2, got {N}")
-    a = np.zeros((N, N))
-    idx = np.arange(N)
-    a[idx[:-1], idx[:-1] + 1] = i_
-    a[idx[:m], idx[:m]] = -g
-    a[idx[m:], idx[m:]] = -x
-    a[idx[m:], idx[m:] - m] = e
-    return a
+    return band_section(spec.m, spec.bands(), spec.N)
 
 
 def _family_coeffs(spec: OperatorSpec, n: int) -> np.ndarray:
@@ -193,57 +167,6 @@ def moment(spec: OperatorSpec, nu: int, j: int) -> float:
     for _ in range(nu):
         v = mat @ v
     return float(v[0])
-
-
-def _support_discs(spec: OperatorSpec) -> list[tuple[complex, float]]:
-    # rows below index m carry only the superdiagonal; rows at or above it
-    # carry the superdiagonal and the sub-m band
-    g, i_, e, x = spec.bands()
-    return [(-g + 0.0j, abs(i_)), (-x + 0.0j, abs(i_) + abs(e))]
-
-
-def _resolvent_once(spec: OperatorSpec, j: int, z: complex, N: int) -> complex:
-    g, i_, e, x = spec.bands()
-    m = spec.m
-    ab = np.zeros((m + 2, N), dtype=complex)
-    ab[0, 1:] = -i_
-    diag = np.full(N, z + x, dtype=complex)
-    diag[:m] = z + g
-    ab[1, :] = diag
-    ab[1 + m, : N - m] = -e
-    rhs = np.zeros(N, dtype=complex)
-    rhs[j - 1] = 1.0
-    from scipy.linalg import solve_banded  # deferred: scipy is heavy to import
-    sol = solve_banded((m, 1), ab, rhs)
-    return complex(sol[0])
-
-
-def resolvent(spec: OperatorSpec, j: int, z: complex) -> ResolventSample:
-    """Resolvent sample ``f_j(z) = ((zI - M)^{-1} e_{j-1}) . e_0``.
-
-    Solved in banded form at the spec's N and at 2N; the section size is
-    doubled until the two values agree to 1e-9.
-
-    Raises
-    ------
-    InsideSupport
-        If z lies inside the operator's Gershgorin disc union.
-    TruncationNotConverged
-        If doubling up to 8N never stabilizes the value.
-    """
-    require_int("j", j, 1, spec.m)
-    if any(abs(z - c) <= r for c, r in _support_discs(spec)):
-        raise InsideSupport(f"z={z} is inside the support bound of {spec.kind}")
-    N = max(spec.N, (spec.m + 1) * (j + 2))
-    val = _resolvent_once(spec, j, z, N)
-    for _ in range(3):
-        val2 = _resolvent_once(spec, j, z, 2 * N)
-        if abs(val2 - val) < 1e-9:
-            return ResolventSample(j=j, z=complex(z), value=val2, N=2 * N)
-        val, N = val2, 2 * N
-    raise TruncationNotConverged(
-        f"resolvent at z={z} still moving by {abs(val2 - val):.2e} at N={N}"
-    )
 
 
 def lambda_conjugation_residual(p: QueueParams, N: int = 60) -> float:

@@ -32,7 +32,8 @@ for the whole grid.  The starts of a simulation share one stream on
 purpose: every count stays what a run from that start alone gives, at the
 price of Monte Carlo errors that are correlated across starts.
 
-The oracles use numpy alone: the banded products add their terms in the
+The oracles use numpy alone and build no N x N matrix: the banded
+products read the generator's band values and add their terms in the
 order scipy's CSR product does, and the Poisson weights come from
 :func:`math.lgamma`, so loading them costs no scipy import (about 25 MB).
 """
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import (
-    QueueParams, build_generator, poisson_quantile, poisson_tail, require_int, validate_params,
+    QueueParams, generator_bands, poisson_quantile, poisson_tail, require_int, validate_params,
 )
 from .transition import STATE_CAP, TransitionQuery, decay_rate, fitted_decay_rate, transition_block
 
@@ -92,33 +93,28 @@ def truncation_size(p: QueueParams, t: float, states: int) -> int:
 
 
 class _BandedT:
-    """The product ``g -> a^T g`` for a vector or an (N, cols) block g, from a's diagonals.
+    """The product ``g -> a^T g`` for a vector or an (N, cols) block g.
 
-    a is square, with a main diagonal that is not all zero.  The main
-    band's term comes first and the other bands' follow in ascending column
-    of a^T.  Where at most one band lies above the main one, as in the
-    generator, that is the order in which scipy's CSR product adds each
-    entry's terms, so the result is the same bit for bit (a zero inside a
-    band adds an exact zero).
+    a is :func:`~bulkq.model.band_section` ``(m, bands, N)``, held as its
+    main diagonal and two scalar bands; N < m + 2 raises
+    :class:`TruncationTooSmall`.  The main band's term comes first, then
+    iota's and eta's: the order in which scipy's CSR product adds each
+    entry's terms, so the result is the same bit for bit.
     """
 
-    def __init__(self, a: np.ndarray) -> None:
-        self.N = N = a.shape[0]
-        rows, cols = np.nonzero(a)
-        bands = []
-        for d in sorted(set((cols - rows).tolist()), key=lambda d: (d != 0, -d)):
-            band = a.diagonal(d)
-            # numpy multiplies by a scalar faster than by a broadcast column
-            band = float(band[0]) if (band == band[0]).all() else band[:, None].copy()
-            # a[j, j + d] carries g[j] into entry j + d: (band, source rows, target rows)
-            bands.append((band, slice(max(0, -d), N - max(0, d)), slice(max(0, d), N + min(0, d))))
-        (self.main, _, _), *self.rest = bands
+    def __init__(self, m: int, bands: tuple, N: int) -> None:
+        if N < m + 2:
+            raise TruncationTooSmall(f"need N >= m + 2 = {m + 2}, got {N}")
+        gamma, self.iota, self.eta, xi = bands
+        self.m, self.N = m, N
+        self.main = np.full((N, 1), -xi)
+        self.main[:m] = -gamma
 
     def __call__(self, g: np.ndarray) -> np.ndarray:
         h = g if g.ndim == 2 else g[:, None]
         out = self.main * h
-        for band, src, dst in self.rest:
-            out[dst] += band * h[src]
+        out[1:] += self.iota * h[:-1]
+        out[: self.N - self.m] += self.eta * h[self.m :]
         return out if g.ndim == 2 else out[:, 0]
 
 
@@ -140,7 +136,7 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
         If N violates the drift precondition, or the leak target is still
         missed at the cap.
     """
-    validate_params(p)
+    gamma, iota, eta, xi = generator_bands(p)  # validates p
     require_int("N", N, 1)
     if rows is None:
         rows = max(1, N // 4)
@@ -151,7 +147,11 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
         raise TruncationTooSmall(
             f"need N >= 4*(m + lam*t) = {4 * (p.m + p.lam * t):.1f}, got {N}"
         )
-    a = (p.lam + p.mu) * t
+    # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1; the
+    # terms are carried transposed, as columns, with S^T applied to them
+    q = p.lam + p.mu
+    s_bands = (-(1.0 - gamma / q), iota / q, eta / q, -(1.0 - xi / q))
+    a = q * t
     while True:
         head = np.eye(min(rows, N), N)
         if a == 0.0:
@@ -160,9 +160,7 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
             ks = np.arange(poisson_quantile(a, UNIF_TOL) + 1)
             log_fact = np.array([math.lgamma(k + 1) for k in ks.tolist()])
             w = np.exp(-a + ks * math.log(a) - log_fact)
-            # S = I + A/q with q = lam + mu: nonnegative, rows sum to <= 1; the
-            # terms are carried transposed, as columns, with S^T applied to them
-            s_t = _BandedT(np.eye(N) + build_generator(p, N) / (p.lam + p.mu))
+            s_t = _BandedT(p.m, s_bands, N)
             term_t = np.ascontiguousarray(head.T)
             out = w[0] * head
             for wk in w[1:]:
@@ -243,7 +241,7 @@ def picard_solve(
             )
     b = np.zeros(N)
     b[n] = 1.0
-    y, sups = _picard(_BandedT(build_generator(p, N)), b, t, K, track=True)
+    y, sups = _picard(_BandedT(p.m, generator_bands(p), N), b, t, K, track=True)
     bounds = [
         0.0 if a == 0.0 else float(np.exp(k * math.log(a) - math.lgamma(k + 1)))
         for k in range(1, K + 1)
@@ -530,7 +528,7 @@ def cross_validate(
     times_from = _grouped((n, t) for n, _, t in pts)
     mats = {t: expm_uniformization(p, N, t, rows=n_max + 1) for t in starts_at}
     N = max(mat.shape[1] for mat in mats.values())  # pick up any auto-doubling
-    gen_t = _BandedT(build_generator(p, N))
+    gen_t = _BandedT(p.m, generator_bands(p), N)
     pic: dict[tuple[int, float], np.ndarray] = {}
     for t, starts in starts_at.items():
         block = _picard_chain(p, gen_t, starts, t)

@@ -62,9 +62,12 @@ _RULES = (slice(0, NODES // 2), slice(NODES // 2, None))
 
 
 def _check_args(states, times) -> None:
-    """Raise ValueError unless states are integers >= 0 and times finite and >= 0."""
+    """Raise ValueError unless states are integers >= 0 and times finite and >= 0.
+
+    An integral float counts as an integer; a bool does not.
+    """
     for label, k in states:
-        if not (k >= 0 and float(k).is_integer()):
+        if isinstance(k, bool) or not (k >= 0 and float(k).is_integer()):
             raise ValueError(f"{label} must be an integer >= 0, got {k}")
     for label, t in times:
         if not (math.isfinite(t) and t >= 0.0):

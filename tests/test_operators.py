@@ -12,9 +12,10 @@ from bulkq.operators import (
     dual_jump_check,
     lambda_conjugation_residual,
     moment,
-    resolvent,
 )
 from bulkq.polynomials import second_kind, t_poly
+
+from banded_resolvent import resolvent
 
 JUMP_TOL = 1e-10
 

@@ -1,18 +1,22 @@
 """Tests for the ground-truth engines and their cross-validation."""
 
 import math
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse, special
 from scipy.linalg import expm as dense_expm
 
+import bulkq
 from bulkq import oracle
 from bulkq.errors import IterationBudgetExceeded, TruncationTooSmall
-from bulkq.model import QueueParams, build_generator
+from bulkq.model import QueueParams, build_generator, generator_bands
 from bulkq.oracle import (
     PICARD_VS_EXPM,
     McConfig,
@@ -187,7 +191,7 @@ def test_picard_block_columns_match_single_column():
     t, starts = 30.0, list(range(9))
     ref = expm_uniformization(p, 256, t, rows=len(starts))
     N = ref.shape[1]
-    gen_t = oracle._BandedT(build_generator(p, N))
+    gen_t = oracle._BandedT(p.m, generator_bands(p), N)
     block = _picard_chain(p, gen_t, starts, t)
     assert block.shape == (N, len(starts))
     for j, n in enumerate(starts):
@@ -201,9 +205,12 @@ def test_banded_product_matches_csr_bit_for_bit(p, N):
     # the generator A and the uniformized S = I + A/q, on one column and on
     # nine, against the CSR products the oracles used before
     gen = build_generator(p, N)
+    q = p.lam + p.mu
+    gamma, iota, eta, xi = bands = generator_bands(p)
+    s_bands = (-(1.0 - gamma / q), iota / q, eta / q, -(1.0 - xi / q))
     rng = np.random.default_rng(N)
-    for a in (gen, np.eye(N) + gen / (p.lam + p.mu)):
-        banded, csr = oracle._BandedT(a), sparse.csr_matrix(a.T)
+    for a, a_bands in ((gen, bands), (np.eye(N) + gen / q, s_bands)):
+        banded, csr = oracle._BandedT(p.m, a_bands, N), sparse.csr_matrix(a.T)
         blocks = (rng.standard_normal(N), rng.random((N, 9)), np.asfortranarray(rng.random((N, 9))))
         for g in blocks:
             got, want = banded(g), csr @ g
@@ -219,6 +226,30 @@ def test_picard_rejects_bad_inputs():
         picard_solve(p, 0, 50, 1.0, -1)
     with pytest.raises(ValueError):
         picard_solve(p, 0, 50, -2.0, 10)
+    # the banded product needs one complete interior row
+    with pytest.raises(TruncationTooSmall, match=r"^need N >= m \+ 2 = 5, got 4$"):
+        picard_solve(QueueParams(1, 1, 3), 0, 4, 0.5, 3)
+
+
+def test_oracles_hold_no_dense_section():
+    # at the cap N = 4096 a dense generator alone is 128 MiB; the banded
+    # products keep a 9-row uniformization and a Picard row to a few MiB
+    paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = (
+        "import resource, sys\n"
+        "from bulkq import QueueParams, expm_uniformization, picard_solve\n"
+        "p = QueueParams(1.0, 1.0, 1)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "expm_uniformization(p, 4096, 1.0, rows=9)\n"
+        "picard_solve(p, 0, 4096, 1.0, 40, tol=1e-8)\n"
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before\n"
+        "print(rise / 2**20 if sys.platform == 'darwin' else rise / 2**10)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert float(out.stdout) < 50.0  # MiB
 
 
 @pytest.mark.parametrize(
@@ -450,7 +481,7 @@ def test_simulate_mc_shares_no_code_with_uniformization(monkeypatch):
     def no_engine(*args, **kwargs):
         raise AssertionError("the simulation reached the uniformization oracle")
 
-    monkeypatch.setattr(oracle, "build_generator", no_engine)
+    monkeypatch.setattr(oracle, "_BandedT", no_engine)
     monkeypatch.setattr(oracle, "expm_uniformization", no_engine)
     p = QueueParams(lam=1.0, mu=2.0, m=3)
     res = simulate_mc(p, McConfig(replications=1000, seed=2, start=5, horizon=2.0))

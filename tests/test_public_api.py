@@ -73,9 +73,20 @@ def test_algebraic_config_is_c_and_m():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy costs about 25 MB of resident memory; only operators.resolvent
-    # needs it and imports it where it is used, so neither the import nor a
-    # run of the oracles and checks loads it
+    # scipy costs about 25 MB of resident memory and is a test dependency
+    # only: no module of the package imports it, so neither the import nor
+    # a run of the oracles and checks loads it
+    found = []
+    for path in sorted(Path(bulkq.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} imports {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
     paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = "import sys, bulkq; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -9,7 +9,7 @@ from bulkq import algebraic, spectral
 from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
 from bulkq.errors import InsideSupport, QuadratureNotConverged
 from bulkq.model import QueueParams
-from bulkq.operators import OperatorSpec, moment, resolvent
+from bulkq.operators import OperatorSpec, moment
 from bulkq.polynomials import dual_vector, q_poly
 from bulkq.spectral import (
     QuadratureRule,
@@ -22,6 +22,8 @@ from bulkq.spectral import (
     sigma_apply,
     star_quadrature,
 )
+
+from banded_resolvent import resolvent
 
 MASS_TOL = 1e-8
 MOMENT_TOL = 1e-7

@@ -49,6 +49,9 @@ def test_query_rejects_bad_states():
         TransitionQuery(-1, 0, (1.0,))
     with pytest.raises(ValueError):
         TransitionQuery(0, 2.5, (1.0,))
+    # a bool is an int to Python but names no state
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got True$"):
+        TransitionQuery(True, False, (1.0,))
 
 
 def test_query_rejects_bad_times():
@@ -344,6 +347,7 @@ def test_honesty_examples():
     "n, t, R",
     [
         (0.5, 1.0, 40),
+        (True, 1.0, 40),
         (-1, 1.0, 40),
         (0, math.nan, 40),
         (0, -0.1, 40),
@@ -376,6 +380,7 @@ def test_semigroup_examples():
 
 _SEMIGROUP_BAD = [
     (0.5, 0, 0.3, 0.3, 40),
+    (True, 0, 0.5, 0.5, 40),
     (-1, 0, 0.3, 0.3, 40),
     (0, 2.5, 0.3, 0.3, 40),
     (0, -1, 0.3, 0.3, 40),
