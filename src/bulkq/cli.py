@@ -297,14 +297,13 @@ def _suite_quadrature(m_max: int, n_max: int) -> tuple[bool, str]:
                 want = moment(spec, nu, 1)
                 err = abs(rule.monomial_moment(nu) - want) / max(1.0, abs(want))
                 worst = max(worst, float(err))
-        prev = None
+        prev = np.empty(0)
         for n in range(m + 1, min(n_max * (m + 1), 101)):
             zs = h_zeros(cfg, n)
-            if prev is not None and len(prev) > 0:
-                pairs = (
-                    zip(zs, prev) if len(zs) == len(prev) + 1 else zip(prev, zs)
-                )
-                if not all(a < b for a, b in pairs):
+            if len(prev):
+                woven = np.empty(len(zs) + len(prev))  # old and new zeros alternate, strictly
+                woven[0::2], woven[1::2] = (zs, prev) if len(zs) > len(prev) else (prev, zs)
+                if not np.all(np.diff(woven) > 0.0):
                     return False, f"zero interlacing broken at m={m}, n={n}"
             prev = zs
     return worst <= 1e-9, f"max quadrature residual {worst:.2e}"

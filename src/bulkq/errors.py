@@ -55,10 +55,6 @@ class ZeroFindingFailure(BulkqError, ArithmeticError):
     """Zeros of a recurrence polynomial could not be located/polished."""
 
 
-class TruncationNotConverged(BulkqError, ArithmeticError):
-    """Doubling the section size still changes the result too much."""
-
-
 class QuadratureNotConverged(BulkqError, ArithmeticError):
     """A contour integral did not stabilize, or its contour misses a singularity."""
 

@@ -32,6 +32,8 @@ __all__ = [
     "QueueParams",
     "branch_config",
     "require_int",
+    "require_state",
+    "require_time",
     "validate_params",
     "generator_bands",
     "band_section",
@@ -84,20 +86,43 @@ def require_int(label: str, k, low: int, high: int | None = None) -> None:
         raise ValueError(f"{label} must be an integer {span}, got {k!r}")
 
 
+def require_state(label: str, k, high: int | None = None) -> int:
+    """``k`` as an int; ValueError naming ``label`` unless it is an integer in 0..``high``.
+
+    An integral float counts, a bool does not; ``high=None`` leaves the
+    range open above.  int and float are tested before the slow ``numbers``.
+    """
+    if isinstance(k, bool) or not (
+        (isinstance(k, (int, float)) or isinstance(k, numbers.Real)) and k >= 0 and k % 1 == 0
+    ):
+        raise ValueError(f"{label} must be an integer >= 0, got {k}")
+    if high is not None and k > high:
+        raise ValueError(f"{label} must be <= {high}, got {k}")
+    return int(k)
+
+
+def require_time(label: str, t) -> float:
+    """``t`` as a float; ValueError naming ``label`` unless it is a finite real >= 0, not a bool."""
+    if isinstance(t, bool) or not (
+        (isinstance(t, (int, float)) or isinstance(t, numbers.Real)) and 0.0 <= t < math.inf
+    ):
+        raise ValueError(f"{label} must be finite and >= 0, got {t}")
+    return float(t)
+
+
 def validate_params(p: QueueParams) -> None:
     """Check the model invariants, raising on the first violation.
 
     Raises
     ------
     NonPositiveRate
-        If ``lam`` or ``mu`` is not a positive finite number.
+        If ``lam`` or ``mu`` is a bool or not a positive finite real.
     ZeroBatchSize
         If ``m`` is not an integer >= 1 (a float or a bool is refused).
     """
-    if not (math.isfinite(p.lam) and p.lam > 0):
-        raise NonPositiveRate(f"arrival rate must be positive and finite, got {p.lam}")
-    if not (math.isfinite(p.mu) and p.mu > 0):
-        raise NonPositiveRate(f"service rate must be positive and finite, got {p.mu}")
+    for name, rate in (("arrival", p.lam), ("service", p.mu)):
+        if isinstance(rate, bool) or not (isinstance(rate, numbers.Real) and 0.0 < rate < math.inf):
+            raise NonPositiveRate(f"{name} rate must be positive and finite, got {rate}")
     try:
         require_int("batch size", p.m, 1)
     except ValueError as exc:

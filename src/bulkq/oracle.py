@@ -48,7 +48,8 @@ import numpy as np
 
 from .errors import IterationBudgetExceeded, TruncationTooSmall
 from .model import (
-    QueueParams, generator_bands, poisson_quantile, poisson_tail, require_int, validate_params,
+    QueueParams, generator_bands, poisson_quantile, poisson_tail, require_int, require_state,
+    require_time, validate_params,
 )
 from .transition import STATE_CAP, TransitionQuery, decay_rate, fitted_decay_rate, transition_block
 
@@ -141,8 +142,7 @@ def expm_uniformization(p: QueueParams, N: int, t: float, *, rows: int | None = 
     if rows is None:
         rows = max(1, N // 4)
     require_int("rows", rows, 1)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"t must be finite and >= 0, got {t}")
+    t = require_time("t", t)
     if N < 4 * (p.m + p.lam * t):
         raise TruncationTooSmall(
             f"need N >= 4*(m + lam*t) = {4 * (p.m + p.lam * t):.1f}, got {N}"
@@ -228,8 +228,7 @@ def picard_solve(
     require_int("K", K, 0)
     if n >= N:
         raise ValueError(f"need 0 <= n < N, got n={n}, N={N}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"need finite t >= 0, got t={t}")
+    t = require_time("t", t)
     ell, big_m = p.m + 2, p.lam + p.mu
     a = ell * big_m * t
     if tol is not None:
@@ -297,8 +296,9 @@ def _picard_chain(p: QueueParams, gen_t: _BandedT, starts, t: float) -> np.ndarr
 class McConfig:
     """Replication count, stream seed, start state and horizon.
 
-    The start is an integer in [0, ``STATE_CAP``], the spectral engine's
-    domain; an integral float becomes an int, and a bool is refused.
+    The start passes :func:`~bulkq.model.require_state` up to ``STATE_CAP``,
+    the spectral engine's domain, and the horizon ``require_time``; they
+    become an int and a float.
     """
 
     replications: int
@@ -309,14 +309,8 @@ class McConfig:
     def __post_init__(self) -> None:
         require_int("replications", self.replications, 1)
         require_int("seed", self.seed, 0)
-        start = self.start
-        if start > STATE_CAP:
-            raise ValueError(f"start must be <= {STATE_CAP}, got {start}")
-        if isinstance(start, bool) or not (start >= 0 and float(start).is_integer()):
-            raise ValueError(f"start state must be an integer >= 0, got {start!r}")
-        object.__setattr__(self, "start", int(start))
-        if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
-            raise ValueError(f"horizon must be finite and >= 0, got {self.horizon}")
+        object.__setattr__(self, "start", require_state("start", self.start, STATE_CAP))
+        object.__setattr__(self, "horizon", require_time("horizon", self.horizon))
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,9 +11,9 @@ on, t of about 15 to 50 can be refused ((lam, mu, m) = (1, 0.5, 6) at t = 20),
 when a pole or arm that matters lies outside the contour or the rules differ.
 The guard's poles, from
 :func:`~bulkq.spectral.resolvent_poles`, and arm samples are built once per
-parameter set.  :class:`TransitionQuery` alone checks the query domain,
-states up to ``STATE_CAP`` = 64.  On top sit honesty (row sums), the chain
-rule, and the decay rate with a late-window fit of the transient part.
+parameter set.  States and times pass :mod:`bulkq.model`'s checks, states
+up to ``STATE_CAP`` = 64.  On top sit honesty (row sums), the chain rule,
+and the decay rate with a late-window fit of the transient part.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from .algebraic import dominant_roots, star_geometry
 from .errors import QuadratureNotConverged, TailNotControlled
 from .model import QueueParams, branch_config, poisson_quantile, poisson_tail, validate_params
+from .model import require_state, require_time
 from .spectral import arm_pole_residues, resolvent_poles
 
 __all__ = [
@@ -61,34 +62,19 @@ _T_MIN = 1e-290  # shorter times overflow the node scale NODES / t
 _RULES = (slice(0, NODES // 2), slice(NODES // 2, None))
 
 
-def _check_args(states, times) -> None:
-    """Raise ValueError unless states are integers >= 0 and times finite and >= 0.
-
-    An integral float counts as an integer; a bool does not.
-    """
-    for label, k in states:
-        if isinstance(k, bool) or not (k >= 0 and float(k).is_integer()):
-            raise ValueError(f"{label} must be an integer >= 0, got {k}")
-    for label, t in times:
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValueError(f"{label} must be finite and >= 0, got {t}")
-
-
 @dataclass(frozen=True, slots=True)
 class TransitionQuery:
     """Start state, end state, and the evaluation times.
 
-    The one check of the query domain; the CLI and ``cross_validate``
-    build every query before any engine runs.
+    The CLI and ``cross_validate`` build every query before any engine runs.
 
     Parameters
     ----------
     n, r : int
-        Start and end states, integers in [0, ``STATE_CAP``]; integral
-        floats become ints.
+        States up to ``STATE_CAP``, as :func:`~bulkq.model.require_state` returns them.
     times : sequence of float
-        Nonempty, finite, nonnegative, sorted ascending; a tuple of floats
-        is kept as it is, anything else is copied into one.
+        Nonempty and ascending times, each through :func:`~bulkq.model.require_time`;
+        a tuple of floats is kept as it is, anything else is copied into one.
     """
 
     n: int
@@ -96,16 +82,15 @@ class TransitionQuery:
     times: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", require_state("n", self.n, STATE_CAP))
+        object.__setattr__(self, "r", require_state("r", self.r, STATE_CAP))
         ts = self.times
-        if not (type(ts) is tuple and all(type(t) is float for t in ts)):
-            ts = tuple(float(t) for t in ts)
+        if type(ts) is tuple and all(type(t) is float for t in ts):
+            for t in ts:
+                require_time("times", t)
+        else:
+            ts = tuple(require_time("times", t) for t in ts)
             object.__setattr__(self, "times", ts)
-        _check_args([("n", self.n), ("r", self.r)], [("times", t) for t in ts])
-        for label in ("n", "r"):
-            k = int(getattr(self, label))
-            if k > STATE_CAP:
-                raise ValueError(f"{label} must be <= {STATE_CAP}, got {k}")
-            object.__setattr__(self, label, k)
         if not ts:
             raise ValueError("need at least one evaluation time")
         if any(b < a for a, b in zip(ts, ts[1:])):
@@ -358,7 +343,7 @@ def honesty_check(p: QueueParams, n: int, t: float, R: int) -> float:
         If n or R is not an integer >= 0, or t is not finite and >= 0.
     """
     validate_params(p)
-    _check_args([("n", n), ("R", R)], [("t", t)])
+    n, R, t = require_state("n", n), require_state("R", R), require_time("t", t)
     work = _work_cutoff(p, n, t, "R", R, "Poisson tail")
     vals, _ = _transition_block(p, [n], work, (t,))
     return float(np.sum(vals))
@@ -382,7 +367,8 @@ def semigroup_check(
         If n, r or K is not an integer >= 0, or s or t is not finite and >= 0.
     """
     validate_params(p)
-    _check_args([("n", n), ("r", r), ("K", K)], [("s", s), ("t", t)])
+    n, r, K = require_state("n", n), require_state("r", r), require_state("K", K)
+    s, t = require_time("s", s), require_time("t", t)
     work = _work_cutoff(p, n, s, "K", K, "intermediate tail")
     row, _ = _transition_block(p, [n], max(work, r), (s, s + t))
     block, _ = _transition_block(p, range(work + 1), r, (t,))

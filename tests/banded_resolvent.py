@@ -11,9 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from bulkq.errors import InsideSupport, TruncationNotConverged
+from bulkq.errors import InsideSupport
 from bulkq.model import require_int
 from bulkq.operators import OperatorSpec
+
+
+class ResolventNotConverged(ArithmeticError):
+    """Doubling the section size still moves the resolvent value."""
 
 
 @dataclass(frozen=True)
@@ -58,7 +62,7 @@ def resolvent(spec: OperatorSpec, j: int, z: complex) -> ResolventSample:
     ------
     InsideSupport
         If z lies inside the operator's Gershgorin disc union.
-    TruncationNotConverged
+    ResolventNotConverged
         If doubling up to 8N never stabilizes the value.
     """
     require_int("j", j, 1, spec.m)
@@ -71,6 +75,6 @@ def resolvent(spec: OperatorSpec, j: int, z: complex) -> ResolventSample:
         if abs(val2 - val) < 1e-9:
             return ResolventSample(j=j, z=complex(z), value=val2, N=2 * N)
         val, N = val2, 2 * N
-    raise TruncationNotConverged(
+    raise ResolventNotConverged(
         f"resolvent at z={z} still moving by {abs(val2 - val):.2e} at N={N}"
     )

@@ -230,6 +230,26 @@ def test_validate_default_battery_passes(runner):
     assert "FAIL" not in result.output
 
 
+def test_validate_checks_both_sides_of_the_zero_interlacing(runner, monkeypatch):
+    # at each step that keeps the zero count, lift the first zero past the
+    # second old one: it stays above its own old zero, so only a two-sided
+    # check sees it
+    from bulkq import cli
+
+    real = cli.h_zeros
+
+    def lifted(cfg, n):
+        zs, prev = real(cfg, n).copy(), real(cfg, n - 1)
+        if len(zs) == len(prev) >= 2:
+            zs[0] = 0.5 * (prev[1] + zs[1])
+        return zs
+
+    monkeypatch.setattr(cli, "h_zeros", lifted)
+    result = runner.invoke(main, ["validate"])
+    assert result.exit_code == 1
+    assert "zero interlacing broken" in result.output
+
+
 def test_validate_rejects_bad_tolerance(runner):
     result = runner.invoke(main, ["validate", "--tol", "-1"])
     assert result.exit_code == 2

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from bulkq import TransitionQuery, cross_validate, sigma_apply, transition_spectral
+from bulkq import (
+    McConfig, TransitionQuery, cross_validate, expm_uniformization, honesty_check,
+    picard_solve, semigroup_check, sigma_apply, transition_spectral,
+)
 from bulkq.errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 from bulkq.model import (
     QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params,
@@ -134,3 +137,87 @@ def _scipy_quantile(a, level):
 def test_poisson_quantile_matches_the_incomplete_gamma_loop(level):
     for a in (0.0, 1e-6, 0.3, 2.0, 10.0, 37.7, 60.0, 600.0, 6000.0, 3e5):
         assert poisson_quantile(a, level) == _scipy_quantile(a, level), a
+
+
+# ------------------------------------------------------- argument contract
+# Every entry point that takes a state, a time or a rate refuses a bad one
+# with a ValueError whose message starts with the argument's label, and
+# every accepted spelling of a value gives the same result.
+
+P = QueueParams(1.0, 1.0, 1)
+BAD_STATES = ["3", None, True, -1, 2.5, math.nan, math.inf]
+BAD_TIMES = ["1", None, True, -1.0, math.nan, math.inf]
+STATE_SPELLINGS = [3, 3.0, np.int64(3), np.float64(3.0)]
+TIME_SPELLINGS = [1, 1.0, np.float64(1.0)]
+
+
+def _query(q):
+    return q, type(q.n), type(q.r), [type(t) for t in q.times]
+
+
+def _mc(cfg):
+    return cfg, type(cfg.start), type(cfg.horizon)
+
+
+#: (label in the message, call with the one varied argument, comparable result)
+STATE_ENTRIES = {
+    "query n": ("n", lambda k: _query(TransitionQuery(k, 0, (1.0,)))),
+    "query r": ("r", lambda k: _query(TransitionQuery(0, k, (1.0,)))),
+    "mc start": ("start", lambda k: _mc(McConfig(10, 1, k, 1.0))),
+    "honesty n": ("n", lambda k: honesty_check(P, k, 1.0, 40)),
+    "honesty R": ("R", lambda k: honesty_check(P, 0, 1e-3, k)),
+    "semigroup n": ("n", lambda k: semigroup_check(P, k, 0, 0.5, 0.5, 40)),
+    "semigroup r": ("r", lambda k: semigroup_check(P, 0, k, 0.5, 0.5, 40)),
+    "semigroup K": ("K", lambda k: semigroup_check(P, 0, 0, 1e-3, 0.5, k)),
+    "grid n": ("grid point", lambda k: cross_validate(P, [(k, 0, 1.0)]).rows),
+    "grid r": ("grid point", lambda k: cross_validate(P, [(0, k, 1.0)]).rows),
+}
+TIME_ENTRIES = {
+    "query times": ("times", lambda t: _query(TransitionQuery(0, 0, (t,)))),
+    "mc horizon": ("horizon", lambda t: _mc(McConfig(10, 1, 0, t))),
+    "honesty t": ("t", lambda t: honesty_check(P, 0, t, 40)),
+    "semigroup s": ("s", lambda t: semigroup_check(P, 0, 0, t, 0.5, 40)),
+    "semigroup t": ("t", lambda t: semigroup_check(P, 0, 0, 0.5, t, 40)),
+    "expm t": ("t", lambda t: expm_uniformization(P, 64, t, rows=4).tobytes()),
+    "picard t": ("t", lambda t: picard_solve(P, 0, 64, t, 40).y.tobytes()),
+    "grid t": ("grid point", lambda t: cross_validate(P, [(0, 0, t)]).rows),
+}
+RATE_ENTRIES = {
+    "lam": ("arrival rate", lambda v: build_generator(QueueParams(v, 1.0, 1), 8).tobytes()),
+    "mu": ("service rate", lambda v: build_generator(QueueParams(1.0, v, 1), 8).tobytes()),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STATES, ids=repr)
+@pytest.mark.parametrize("entry", STATE_ENTRIES)
+def test_every_entry_point_refuses_a_bad_state_by_name(entry, bad):
+    label, call = STATE_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{label}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES, ids=repr)
+@pytest.mark.parametrize("entry", TIME_ENTRIES)
+def test_every_entry_point_refuses_a_bad_time_by_name(entry, bad):
+    label, call = TIME_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{label}"):
+        call(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TIMES + [0, 0.0], ids=repr)
+@pytest.mark.parametrize("entry", RATE_ENTRIES)
+def test_validate_params_refuses_a_bad_rate_by_name(entry, bad):
+    label, call = RATE_ENTRIES[entry]
+    with pytest.raises(NonPositiveRate, match=f"^{label}"):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "entries, spellings",
+    [(STATE_ENTRIES, STATE_SPELLINGS), (TIME_ENTRIES, TIME_SPELLINGS), (RATE_ENTRIES, TIME_SPELLINGS)],
+    ids=["states", "times", "rates"],
+)
+def test_accepted_spellings_give_identical_results(entries, spellings):
+    for entry, (_, call) in entries.items():
+        first, *rest = [call(v) for v in spellings]
+        assert all(other == first for other in rest), entry

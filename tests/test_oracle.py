@@ -346,7 +346,7 @@ def test_mc_config_refuses_a_start_past_the_cap(start):
 
 
 def test_mc_config_refuses_a_bool_start():
-    with pytest.raises(ValueError, match="start state must be an integer >= 0, got True"):
+    with pytest.raises(ValueError, match="^start must be an integer >= 0, got True$"):
         McConfig(replications=10, seed=1, start=True, horizon=1.0)
     assert McConfig(replications=10, seed=1, start=64.0, horizon=1.0).start == 64
 

@@ -124,3 +124,21 @@ def test_import_leaves_fractions_and_numpy_polynomial_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_error_type_has_a_raiser():
+    # an error type that no library path raises documents a failure that
+    # cannot happen
+    from bulkq import errors
+
+    kinds = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.BulkqError) and obj is not errors.BulkqError
+    }
+    raised = set()
+    for path in sorted(Path(bulkq.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    assert sorted(kinds - raised) == []
