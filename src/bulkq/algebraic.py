@@ -39,7 +39,7 @@ __all__ = [
 EPS_ROOT = 1e-12
 #: roots this close (relative) form a cluster that Newton steps cannot refine
 _CLUSTER = 1e-6
-#: Newton steps from w = z before a node falls back to the companion matrix
+#: Newton steps from w = z - c/z**m before a node falls back to the companion matrix
 _NEWTON_STEPS = 8
 #: relative margin of the dominance certificate m c < (1 - margin) |w|**(m+1)
 _CERT_MARGIN = 1e-6
@@ -53,8 +53,10 @@ class AlgebraicConfig:
     m: int
 
     def __post_init__(self) -> None:
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be positive and finite, got {self.c}")
+        c = self.c  # model's rule for a rate; float is tested before the slow ABC
+        real = isinstance(c, float) or isinstance(c, numbers.Real) and not isinstance(c, bool)
+        if not (real and 0.0 < c < math.inf):
+            raise ValueError(f"c must be positive and finite, got {c!r}")
         if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
             raise ValueError(f"m must be an integer >= 1, got {self.m!r}")
 
@@ -142,8 +144,9 @@ def solve_branches(cfg: AlgebraicConfig, z: complex) -> BranchValues:
 def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     """The largest-modulus branch at every point of ``zs``, in one batch.
 
-    Newton's method starts at ``w = z``, the branch that behaves like z at
-    infinity, and a node is accepted once its last Newton correction is
+    Newton's method starts one fixed-point step along the branch that
+    behaves like z at infinity, at ``w = z - c / z**m`` (or z where that is
+    not finite), and a node is accepted once its last Newton correction is
     below ``EPS_ROOT`` relative and ``m c < (1 - 1e-6) |w|**(m+1)``.  That
     inequality proves w the simple root of largest modulus: writing the
     other roots as ``w y`` gives ``y**m + alpha (1 + y + ... + y**(m-1)) = 0``
@@ -152,8 +155,8 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     where every y is 0, no root can reach the unit circle while
     ``|alpha| < 1/m``.  Equivalently, ``|w|`` exceeds the modulus of the
     double root at the tips of the star.  Only the nodes that fail the test,
-    on or near the star, take the largest companion eigenvalue.  Every node
-    then gets the two Newton steps and the residual check of
+    on or near the star, take the largest companion eigenvalue and two more
+    Newton steps.  Every node then gets the residual check of
     :func:`solve_branches`.
 
     Raises
@@ -164,8 +167,9 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
     m, c = cfg.m, cfg.c
     zs = np.asarray(zs, dtype=complex)
     z = zs.ravel()
-    w = z.copy()
     with np.errstate(all="ignore"):  # an iterate that leaves the floats fails the test
+        w = z - c / z**m
+        w = np.where(np.isfinite(w), w, z)
         for _ in range(_NEWTON_STEPS):
             step = _newton_step(w, z, c, m)[0]
             w = w - step
@@ -174,9 +178,10 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
                 break
         proven = small & (np.abs(w) > (m * c / (1.0 - _CERT_MARGIN)) ** (1.0 / (m + 1)))
     if not proven.all():
-        w[~proven] = _companion_dominant(c, m, z[~proven])
-    for _ in range(2):
-        w = w - _newton_step(w, z, c, m)[0]
+        zf, wf = z[~proven], _companion_dominant(c, m, z[~proven])
+        for _ in range(2):
+            wf = wf - _newton_step(wf, zf, c, m)[0]
+        w[~proven] = wf
     rel = _newton_step(w, z, c, m)[1]
     if np.any(rel > EPS_ROOT):
         k = int(np.argmax(rel))

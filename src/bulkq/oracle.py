@@ -454,12 +454,15 @@ class CrossReport:
 
 def _grid_queries(grid) -> list[TransitionQuery]:
     """One single-time query per (n, r, t) triple of ``grid``, built before any engine runs."""
+    if not np.iterable(grid):
+        raise ValueError(f"grid must be an iterable of (n, r, t) triples, got {grid!r}")
     queries = []
-    for n, r, t in grid:
+    for point in grid:
         try:
+            n, r, t = point
             queries.append(TransitionQuery(n, r, (t,)))
-        except ValueError as exc:
-            raise ValueError(f"grid point (n, r, t) = ({n}, {r}, {t}): {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"grid point (n, r, t) = {point!r}: {exc}") from exc
     return queries
 
 

@@ -23,7 +23,8 @@ one panel-doubling ladder (``_ladder``), which stops at the module's
 batched dominant-root solve, and the resolvent samples and its pole
 residues from one tail recurrence (``_tails``).  The tube is one weighted
 rule (``_tube_pack``): its nodes and residue atoms, each with a weight per
-functional, so that ``sigma_j(f) = Re sum f(x) weights[j]``.  That rule
+functional, so that ``sigma_j(f) = Re sum f(x) weights[j]``; its first
+arm's dominant roots, rotated, serve every arm.  That rule
 serves ``sigma_apply``, ``pairing_matrix`` (the bi-orthogonality pairing of
 ``Q_n`` with the dual vectors, as one matrix) and ``bulkq validate``.  The
 resolvent's poles off the star, with their residues, are computed once per
@@ -248,14 +249,18 @@ def _tails(m: int, z, w0, w):
     return np.array(qs[::-1]), rk + w * qs[-1]
 
 
-def _fhat_block(p: QueueParams, x: np.ndarray) -> np.ndarray:
+def _fhat_block(p: QueueParams, x: np.ndarray, arms: int = 1) -> np.ndarray:
     """Row 0 of the generator's resolvent ``(x - A)^{-1}``, entries 0..m-1, at every x.
 
     Entry j (axis 0) is ``Q_j(zeta - c) / (lam R(zeta - c))`` (see :func:`_tails`).
+    With ``arms = m + 1``, x is :func:`_tube_nodes`' tube: its first arm's roots,
+    rotated, serve every arm, as ``omega(d zeta) = d omega(zeta)`` for ``d**(m+1) = 1``.
     """
     cfg = branch_config(p)
     zeta = (x + p.lam + p.mu) / p.lam
-    q, rv = _tails(p.m, zeta, dominant_roots(cfg, zeta), zeta - cfg.c)
+    rot = star_geometry(cfg).rotation ** np.arange(arms)
+    w0 = np.multiply.outer(rot, dominant_roots(cfg, zeta[: zeta.size // arms]))
+    q, rv = _tails(p.m, zeta, w0.reshape(zeta.shape), zeta - cfg.c)
     return q / (p.lam * rv)
 
 
@@ -329,7 +334,7 @@ def _tube_pack(p: QueueParams, panels: int, order: int) -> tuple[np.ndarray, np.
     xs, dx = _tube_nodes(p, eps, panels, order)
     atoms = [(x, res) for x, dist, res in resolvent_poles(p) if dist > eps]
     x = np.append(xs, [x for x, _ in atoms])
-    nodes = _fhat_block(p, xs) * dx / (2j * math.pi)
+    nodes = _fhat_block(p, xs, p.m + 1) * dx / (2j * math.pi)
     weights = np.column_stack([nodes] + [res for _, res in atoms])
     for cached in (x, weights):
         cached.setflags(write=False)

@@ -89,6 +89,8 @@ class TransitionQuery:
             for t in ts:
                 require_time("times", t)
         else:
+            if isinstance(ts, (str, bytes)) or not np.iterable(ts):
+                raise ValueError(f"times must be a sequence of times, got {ts!r}")
             ts = tuple(require_time("times", t) for t in ts)
             object.__setattr__(self, "times", ts)
         if not ts:
@@ -136,15 +138,21 @@ def decay_rate(p: QueueParams) -> float:
 def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Upper-half nodes and weights of the K-node midpoint rule at time t.
 
-    The curve is the one tuned for ``NODES`` nodes whatever K is, so two
-    rules differ by discretisation alone.  For F real on the real axis the
-    inverse transform is ``Im(sum(weights * F(nodes)))``.
+    The curve is the one tuned for ``NODES`` nodes whatever K is, so two rules differ by
+    discretisation alone.  For F real on the real axis the inverse transform is
+    ``Im(sum(weights * F(nodes)))``.  Both are the t-free :func:`_talbot_unit` arrays over t.
     """
+    return tuple(a / t for a in _talbot_unit(K))
+
+
+@lru_cache(maxsize=None)
+def _talbot_unit(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """``s t`` at the K-node rule's nodes, and ``t`` times their weights ``(2/K) e^{st} ds``."""
     th = (np.arange(K // 2) + 0.5) * (2.0 * math.pi / K)
     b = _TALBOT_B * th
-    s = (NODES / t) * (_TALBOT_A * th / np.tan(b) - _TALBOT_C + 1j * _TALBOT_D * th)
-    ds = (NODES / t) * (_TALBOT_A * (1.0 / np.tan(b) - b / np.sin(b) ** 2) + 1j * _TALBOT_D)
-    return s, (2.0 / K) * np.exp(s * t) * ds
+    st = NODES * (_TALBOT_A * th / np.tan(b) - _TALBOT_C + 1j * _TALBOT_D * th)
+    dst = NODES * (_TALBOT_A * (1.0 / np.tan(b) - b / np.sin(b) ** 2) + 1j * _TALBOT_D)
+    return st, (2.0 / K) * np.exp(st) * dst
 
 
 @lru_cache(maxsize=64)
@@ -188,9 +196,8 @@ def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     slices of ``_RULES``), their weights, and the dominant root at every node.
     """
     _guard(p, t)
-    (s0, w0), (s1, w1) = _talbot(NODES, t), _talbot(NODES_CHECK, t)
-    s = np.concatenate([s0, s1])
-    return s, np.concatenate([w0, w1]), dominant_roots(branch_config(p), (s + p.lam + p.mu) / p.lam)
+    s, w = (np.concatenate(rule) for rule in zip(_talbot(NODES, t), _talbot(NODES_CHECK, t)))
+    return s, w, dominant_roots(branch_config(p), (s + p.lam + p.mu) / p.lam)
 
 
 def _resolvent_rows(

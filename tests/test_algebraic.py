@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bulkq import algebraic
+from bulkq import algebraic, transition
 from bulkq.algebraic import (
     AlgebraicConfig,
     boundary_values,
@@ -224,6 +224,25 @@ def test_dominant_roots_refuses_newton_on_a_smaller_root(z, k):
     assert abs(w - omega[k]) <= 1e-13
     got = complex(dominant_roots(cfg, np.array([z]))[0])
     assert abs(got - omega[0]) <= 1e-13 * abs(omega[0])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 20),
+    log_lam=st.floats(-1.0, 1.0),
+    log_c=st.floats(-1.5, 1.5),
+    log_t=st.floats(-8.0, 3.0),
+)
+def test_dominant_roots_is_the_top_companion_eigenvalue_on_talbot_nodes(m, log_lam, log_c, log_t):
+    # both rules' nodes, in zeta = (s + lam + mu) / lam with c = mu / lam
+    lam, c, t = 10.0**log_lam, 10.0**log_c, 10.0**log_t
+    s = np.concatenate([transition._talbot(K, t)[0] for K in (48, 64)])
+    zs = (s + lam + c * lam) / lam
+    got = dominant_roots(AlgebraicConfig(c=c, m=m), zs)
+    for z, w in zip(zs, got):
+        eig = np.roots(np.r_[1.0, -z, np.zeros(m - 1), c])
+        top = eig[np.argmax(np.abs(eig))]
+        assert abs(w - top) <= 1e-12 * abs(top), (z, w, top)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 20])

@@ -10,6 +10,7 @@ from bulkq import (
     McConfig, TransitionQuery, cross_validate, expm_uniformization, honesty_check,
     picard_solve, semigroup_check, sigma_apply, transition_spectral,
 )
+from bulkq.algebraic import AlgebraicConfig
 from bulkq.errors import NonPositiveRate, TruncationTooSmall, ZeroBatchSize
 from bulkq.model import (
     QueueParams, build_generator, poisson_quantile, poisson_tail, validate_params,
@@ -186,6 +187,16 @@ RATE_ENTRIES = {
     "lam": ("arrival rate", lambda v: build_generator(QueueParams(v, 1.0, 1), 8).tobytes()),
     "mu": ("service rate", lambda v: build_generator(QueueParams(1.0, v, 1), 8).tobytes()),
 }
+#: a malformed sequence of times or grid, and a bad branch constant c
+MALFORMED = {
+    "scalar times": ("times must be a sequence", lambda: TransitionQuery(0, 0, 1.0)),
+    "string times": ("times must be a sequence", lambda: TransitionQuery(0, 0, "12")),
+    "grid pair": (
+        r"grid point \(n, r, t\) = \(0, 0\)", lambda: cross_validate(P, [(0, 0, 1.0), (0, 0)])
+    ),
+    "scalar grid": ("grid must be", lambda: cross_validate(P, 5)),
+    **{f"c={v!r}": ("c", lambda v=v: AlgebraicConfig(c=v, m=1)) for v in BAD_TIMES + [0, 0.0]},
+}
 
 
 @pytest.mark.parametrize("bad", BAD_STATES, ids=repr)
@@ -210,6 +221,13 @@ def test_validate_params_refuses_a_bad_rate_by_name(entry, bad):
     label, call = RATE_ENTRIES[entry]
     with pytest.raises(NonPositiveRate, match=f"^{label}"):
         call(bad)
+
+
+@pytest.mark.parametrize("entry", MALFORMED)
+def test_malformed_arguments_are_refused_by_name(entry):
+    label, call = MALFORMED[entry]
+    with pytest.raises(ValueError, match=f"^{label}"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bulkq import algebraic, spectral
-from bulkq.algebraic import AlgebraicConfig, solve_branches, star_geometry
+from bulkq.algebraic import AlgebraicConfig, dominant_roots, solve_branches, star_geometry
 from bulkq.errors import InsideSupport, QuadratureNotConverged
-from bulkq.model import QueueParams
+from bulkq.model import QueueParams, branch_config
 from bulkq.operators import OperatorSpec, moment
 from bulkq.polynomials import dual_vector, q_poly
 from bulkq.spectral import (
@@ -270,6 +270,32 @@ def test_tube_sampler_is_row_0_of_the_generator_resolvent(lam, mu, m):
         for k, x in enumerate(xs):
             want = resolvent(OperatorSpec("A", p, 96), j + 1, x).value
             assert abs(got[j, k] - want) <= 1e-9 * abs(want), (j, x)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8, 12])
+def test_tube_rotates_its_first_arm_roots_to_the_others(m, monkeypatch):
+    # omega(d zeta) = d omega(zeta) for d**(m+1) = 1: the tube solves the
+    # dominant root on its first arm only, and every arm's rotated roots
+    # agree with a direct solve on that arm
+    p = QueueParams(1.0, 1.0 / m, m)
+    x, _ = spectral._tube_nodes(p, spectral._pick_eps(p), 12, 8)
+    sizes, roots = [], []
+    real_solve, real_tails = spectral.dominant_roots, spectral._tails
+
+    def solve(cfg, zs):
+        sizes.append(zs.size)
+        return real_solve(cfg, zs)
+
+    def tails(m, z, w0, w):
+        roots.append(w0)
+        return real_tails(m, z, w0, w)
+
+    monkeypatch.setattr(spectral, "dominant_roots", solve)
+    monkeypatch.setattr(spectral, "_tails", tails)
+    spectral._fhat_block(p, x, m + 1)
+    assert sizes == [x.size // (m + 1)]
+    direct = dominant_roots(branch_config(p), (x + p.lam + p.mu) / p.lam)
+    assert np.max(np.abs(roots[0] - direct) / np.abs(direct)) <= 1e-13
 
 
 def test_resolvent_poles_drop_poles_on_the_star():

@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bulkq import spectral
+from bulkq import algebraic, spectral, transition
 from bulkq.errors import BulkqError, QuadratureNotConverged, TailNotControlled
 from bulkq.model import QueueParams, build_generator
 from bulkq.oracle import SPECTRAL_VS_EXPM, expm_uniformization, truncation_size
@@ -266,6 +266,40 @@ def test_cold_query_builds_the_singular_set_once(monkeypatch):
     res = transition_spectral(p, TransitionQuery(2, 1, (0.5, 3.0, 20.0)))
     assert len(res.values) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("K", [48, 64])
+@pytest.mark.parametrize("t", [1e-280, 1e-8, 1.0, 100.0, 1e5])
+def test_talbot_rule_matches_the_direct_formula(K, t):
+    # nodes and weights are arrays built once per K and divided by t; the
+    # direct formula s = (48/t)(A th cot(B th) - C + i D th), w = (2/K) e^{st} ds
+    a, b, c, d = 0.5017, 0.6407, 0.6122, 0.2645
+    th = (np.arange(K // 2) + 0.5) * (2.0 * math.pi / K)
+    s = (48.0 / t) * (a * th / np.tan(b * th) - c + 1j * d * th)
+    ds = (48.0 / t) * (a / np.tan(b * th) - a * b * th / np.sin(b * th) ** 2 + 1j * d)
+    w = (2.0 / K) * np.exp(s * t) * ds
+    got_s, got_w = transition._talbot(K, t)
+    assert np.max(np.abs(got_s - s) / np.abs(s)) <= 1e-13
+    assert np.max(np.abs(got_w - w) / np.abs(w)) <= 1e-13
+
+
+def test_cold_talbot_nodes_take_no_eigensolve(monkeypatch):
+    # sweep-like sets (m <= 3, load on both sides of 1, t in [0.05, 5]): with
+    # the guard's singular set built first, every node's root is certified
+    # by Newton's method alone
+    rng = np.random.default_rng(26)
+    sets = []
+    for k in range(30):
+        m, lam, rho = k % 3 + 1, rng.uniform(0.4, 2.5), rng.uniform(0.3, 1.8)
+        sets.append((QueueParams(lam, lam / (m * rho), m), np.sort(rng.uniform(0.05, 5.0, 3))))
+        transition._singular_points(sets[-1][0])
+    calls = []
+    real = algebraic._companion_dominant
+    monkeypatch.setattr(algebraic, "_companion_dominant", lambda *a: calls.append(a) or real(*a))
+    for p, times in sets:
+        for t in times:
+            transition._nodes(p, float(t))
+    assert not calls
 
 
 def test_small_index_query_at_m6():
