@@ -31,6 +31,7 @@ __all__ = [
     "StarGeometry",
     "solve_branches",
     "dominant_roots",
+    "pole_site_roots",
     "star_geometry",
     "boundary_values",
 ]
@@ -182,13 +183,47 @@ def dominant_roots(cfg: AlgebraicConfig, zs: np.ndarray) -> np.ndarray:
         for _ in range(2):
             wf = wf - _newton_step(wf, zf, c, m)[0]
         w[~proven] = wf
+    _check_residual(w, z, c, m)
+    return w.reshape(zs.shape)
+
+
+def pole_site_roots(cfg: AlgebraicConfig, u: np.ndarray) -> np.ndarray:
+    """The dominant branch at the pole sites ``zeta = c + u``, ``u**m = 1``, off the star.
+
+    There the branch polynomial is ``(w - u) D(w)``, ``D(w) = w**m - c (w**(m-1) +
+    u w**(m-2) + ... + u**(m-1))``: the dominant root is u, or D's largest root if
+    that has modulus above 1.  That root is c at m = 1, and above it one batched
+    m x m companion eigensolve gives every site's.  Two Newton steps on the full
+    polynomial polish every root, and :func:`dominant_roots`' residual check follows.
+
+    Raises
+    ------
+    RootSolveFailure
+        If a polished root misses the residual target.
+    """
+    m, c = cfg.m, cfg.c
+    top = c
+    if m > 1:
+        comp = np.zeros((u.size, m, m), dtype=complex)
+        comp[:, 0] = c * u[:, None] ** np.arange(m)
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        eig = np.linalg.eigvals(comp)
+        top = eig[np.arange(u.size), np.argmax(np.abs(eig), axis=-1)]
+    w, zeta = np.where(np.abs(top) > 1.0, top, u), c + u
+    for _ in range(2):
+        w = w - _newton_step(w, zeta, c, m)[0]
+    _check_residual(w, zeta, c, m)
+    return w
+
+
+def _check_residual(w: np.ndarray, z: np.ndarray, c: float, m: int) -> None:
+    """Raise :class:`RootSolveFailure` where w misses ``EPS_ROOT`` relative to its scale."""
     rel = _newton_step(w, z, c, m)[1]
     if np.any(rel > EPS_ROOT):
         k = int(np.argmax(rel))
         raise RootSolveFailure(
             f"root residual {rel[k]:.3e} above target at z={z[k]}, c={c}, m={m}"
         )
-    return w.reshape(zs.shape)
 
 
 def _newton_step(w: np.ndarray, z: np.ndarray, c: float, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,9 +44,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebraic import (
-    AlgebraicConfig, StarGeometry, boundary_values, dominant_roots, star_geometry,
-)
+from .algebraic import AlgebraicConfig, StarGeometry, boundary_values, dominant_roots
+from .algebraic import pole_site_roots, star_geometry
 from .errors import InsideSupport, QuadratureNotConverged, ZeroFindingFailure
 from .model import QueueParams, branch_config, require_int, validate_params
 from .polynomials import COMPLEX_STEP, dual_vector, h_zeros, q_poly, t_poly
@@ -274,15 +273,16 @@ def resolvent_poles(p: QueueParams) -> tuple[tuple[complex, float, np.ndarray], 
     the dominant branch at ``zeta = c + u`` (removable).  ``distance`` to the
     star is in units of x, as the tube's ``eps``; ``residues[j]``, of row 0,
     entry j of ``(x - A)^{-1}``, is ``-Q_j(u) (u - omega_0) / (m c
-    u**(m-1))``.  One batched dominant-root solve serves every pole.  Cached
-    per parameter set; the residue vectors are read-only.
+    u**(m-1))``.  The sites' dominant roots come from their known factor ``w - u``
+    (:func:`~bulkq.algebraic.pole_site_roots`).  Cached per parameter set; the
+    residue vectors are read-only.
     """
     validate_params(p)
     cfg = branch_config(p)
     u, zeta, dist = _pole_sites(cfg)
     off = dist > _ON_STAR * star_geometry(cfg).arm_length
     u, zeta, dist = u[off], zeta[off], dist[off]
-    w0 = dominant_roots(cfg, zeta)
+    w0 = pole_site_roots(cfg, u)
     keep = np.abs(u - w0) >= 1e-8
     u, zeta, dist, w0 = u[keep], zeta[keep], p.lam * dist[keep], w0[keep]
     res = _pole_residues(cfg, u, zeta, w0)

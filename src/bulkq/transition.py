@@ -135,8 +135,8 @@ def decay_rate(p: QueueParams) -> float:
 # Talbot contour and the resolvent-row solve
 
 
-def _talbot(K: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Upper-half nodes and weights of the K-node midpoint rule at time t.
+def _talbot(K: int, t) -> tuple[np.ndarray, np.ndarray]:
+    """Upper-half nodes and weights of the K-node midpoint rule at time t, or a column of times.
 
     The curve is the one tuned for ``NODES`` nodes whatever K is, so two rules differ by
     discretisation alone.  For F real on the real axis the inverse transform is
@@ -166,37 +166,42 @@ def _singular_points(p: QueueParams) -> np.ndarray:
     return x
 
 
-def _guard(p: QueueParams, t: float) -> None:
-    """Refuse t if a pole or arm point of weight above TRANS_TOL escapes the curve.
+def _guard(p: QueueParams, t: np.ndarray) -> None:
+    """Refuse if a pole or arm point of weight above TRANS_TOL escapes the curve at a time of t.
 
     The weight of x is ``e^{t Re x}``.  x is inside when it lies left of the
     curve at height |Im x|; above the end of the arc it is outside.  The
-    points themselves do not depend on t and are computed once per p.
+    points do not depend on t and are computed once per p.  t is a column of
+    ascending times, checked in one pass; the message names the first refused.
     """
-    if t < _T_MIN:
-        raise QuadratureNotConverged(f"t={t:g} is below {_T_MIN:g}, where the contour overflows")
+    if t.min() < _T_MIN:
+        raise QuadratureNotConverged(
+            f"t={t.min():g} is below {_T_MIN:g}, where the contour overflows"
+        )
     x = _singular_points(p)
     weight = np.exp(t * x.real)
     th = np.clip(np.abs(x.imag) * t / (_TALBOT_D * NODES), 1e-12, math.pi)
     edge = (NODES / t) * (_TALBOT_A * th / np.tan(_TALBOT_B * th) - _TALBOT_C)
     escaped = ((th >= math.pi) | (x.real >= edge)) & (weight > TRANS_TOL)
     if np.any(escaped):
-        k = int(np.argmax(np.where(escaped, weight, 0.0)))
+        i = int(np.argmax(escaped.any(axis=1)))
+        k = int(np.argmax(np.where(escaped[i], weight[i], 0.0)))
         raise QuadratureNotConverged(
-            f"at t={t:g} the singular point x={complex(x[k]):.6g} lies outside the "
-            f"Talbot contour with weight e^(t Re x) = {weight[k]:.2e} above {TRANS_TOL:.0e}"
+            f"at t={t[i, 0]:g} the singular point x={complex(x[k]):.6g} lies outside the "
+            f"Talbot contour with weight e^(t Re x) = {weight[i, k]:.2e} above {TRANS_TOL:.0e}"
         )
 
 
-@lru_cache(maxsize=256)
-def _nodes(p: QueueParams, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Guarded contour data at one time, cached: callers must not mutate it.
+@lru_cache(maxsize=64)
+def _nodes(p: QueueParams, times: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Guarded contour data at the ascending ``times``, cached: callers must not mutate it.
 
-    One row of nodes, ``NODES`` then ``NODES_CHECK`` of them (the two
-    slices of ``_RULES``), their weights, and the dominant root at every node.
+    A row per time of nodes, ``NODES`` then ``NODES_CHECK`` of them (the two slices of
+    ``_RULES``), their weights, and the dominant root at every node from one batched solve.
     """
+    t = np.array(times)[:, None]
     _guard(p, t)
-    s, w = (np.concatenate(rule) for rule in zip(_talbot(NODES, t), _talbot(NODES_CHECK, t)))
+    s, w = (np.hstack(rule) for rule in zip(_talbot(NODES, t), _talbot(NODES_CHECK, t)))
     return s, w, dominant_roots(branch_config(p), (s + p.lam + p.mu) / p.lam)
 
 
@@ -253,7 +258,7 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
     errs[:, :, tiny] = rate * times[tiny]
     live = np.flatnonzero((times > 0.0) & ~tiny)
     if live.size:
-        s, weights, omega = (np.stack(col) for col in zip(*(_nodes(p, times[k]) for k in live)))
+        s, weights, omega = _nodes(p, tuple(times[live].tolist()))
         J = max(int(starts.max()) + 1, rmax + 1, p.m)
         y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())[: rmax + 1]
         y = y.reshape(y.shape[:2] + s.shape)

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bulkq import algebraic, transition
+from bulkq import algebraic, spectral, transition
 from bulkq.algebraic import (
     AlgebraicConfig,
     boundary_values,
     dominant_roots,
+    pole_site_roots,
     solve_branches,
     star_geometry,
 )
@@ -214,10 +215,11 @@ def test_dominant_roots_agree_with_solve_branches(m, fallback_points):
 
 @pytest.mark.parametrize("z,k", [(0.1 + 0.725j, 2), (-0.925 + 0.15j, 1)])
 def test_dominant_roots_refuses_newton_on_a_smaller_root(z, k):
-    # from w = z Newton converges within a few steps to the k-th root in
-    # modulus; only the dominance certificate sends z to the eigensolve
+    # from the engine's start w = z - c/z**m Newton converges within a few
+    # steps to the k-th root in modulus; only the dominance certificate sends
+    # z to the eigensolve
     cfg = AlgebraicConfig(c=0.5, m=3)
-    w = z
+    w = z - 0.5 / z**3
     for _ in range(8):
         w -= (w**4 - z * w**3 + 0.5) / (4 * w**3 - 3 * z * w**2)
     omega = solve_branches(cfg, z).omega
@@ -243,6 +245,24 @@ def test_dominant_roots_is_the_top_companion_eigenvalue_on_talbot_nodes(m, log_l
         eig = np.roots(np.r_[1.0, -z, np.zeros(m - 1), c])
         top = eig[np.argmax(np.abs(eig))]
         assert abs(w - top) <= 1e-12 * abs(top), (z, w, top)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 20), log_c=st.floats(-1.5, 1.5))
+def test_pole_site_roots_are_the_top_companion_eigenvalue(m, log_c):
+    # at zeta = c + u, u**m = 1, w = u is a root: the rest come from the
+    # degree-m factor, and the removable decision (u dominant) must agree.
+    # Sites on the star, where the top moduli tie, are resolvent_poles' to drop
+    cfg = AlgebraicConfig(c=10.0**log_c, m=m)
+    u, zeta, dist = spectral._pole_sites(cfg)
+    off = dist > 1e-12 * star_geometry(cfg).arm_length
+    for uk, z, w in zip(u[off], zeta[off], pole_site_roots(cfg, u[off])):
+        eig = np.roots(np.r_[1.0, -z, np.zeros(m - 1), cfg.c])
+        top, second = sorted(eig, key=lambda v: -abs(v))[:2]
+        if abs(top - second) <= 1e-4 * abs(top):
+            continue  # beside a tip of the star np.roots is only good to eps / gap
+        assert abs(w - top) <= 1e-12 * abs(top), (uk, w, top)
+        assert (abs(uk - w) >= 1e-8) == (abs(uk - top) >= 1e-8)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6, 12, 20])

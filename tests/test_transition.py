@@ -268,6 +268,42 @@ def test_cold_query_builds_the_singular_set_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "lam, mu, m", [(0.6173, 0.8129, 1), (1.8342, 0.6617, 2), (0.5291, 0.2387, 3)]
+)
+def test_cold_query_solves_every_node_in_one_batch(lam, mu, m, monkeypatch):
+    # sweep-like sets used by no other test, so every cache is cold: one
+    # dominant_roots call serves all three times' Talbot nodes, and the pole
+    # sites, solved from their known factor, take no companion eigensolve
+    calls, companion = [], []
+    real, real_companion = algebraic.dominant_roots, algebraic._companion_dominant
+
+    def counted(cfg, zs):
+        calls.append(zs.shape)
+        return real(cfg, zs)
+
+    for module in (transition, spectral):
+        monkeypatch.setattr(module, "dominant_roots", counted)
+    monkeypatch.setattr(
+        algebraic, "_companion_dominant", lambda *a: companion.append(a) or real_companion(*a)
+    )
+    res = transition_spectral(QueueParams(lam, mu, m), TransitionQuery(2, 1, (0.21, 1.37, 4.62)))
+    assert len(res.values) == 3
+    assert calls == [(3, (transition.NODES + transition.NODES_CHECK) // 2)]
+    assert not companion
+
+
+def test_block_guard_names_the_first_escaping_time():
+    # one pass over every time refuses the query as the single escaping time would
+    p = QueueParams(1.0, 1.0 / 12, 12)
+    with pytest.raises(QuadratureNotConverged) as alone:
+        transition_spectral(p, TransitionQuery(0, 0, (50.0,)))
+    with pytest.raises(QuadratureNotConverged) as both:
+        transition_spectral(p, TransitionQuery(0, 0, (0.5, 50.0)))
+    assert str(both.value) == str(alone.value)
+    assert "at t=50 the singular point" in str(both.value)
+
+
 @pytest.mark.parametrize("K", [48, 64])
 @pytest.mark.parametrize("t", [1e-280, 1e-8, 1.0, 100.0, 1e5])
 def test_talbot_rule_matches_the_direct_formula(K, t):
@@ -298,7 +334,7 @@ def test_cold_talbot_nodes_take_no_eigensolve(monkeypatch):
     monkeypatch.setattr(algebraic, "_companion_dominant", lambda *a: calls.append(a) or real(*a))
     for p, times in sets:
         for t in times:
-            transition._nodes(p, float(t))
+            transition._nodes(p, (float(t),))
     assert not calls
 
 
