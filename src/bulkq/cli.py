@@ -347,12 +347,13 @@ def _suite_orthogonality(m_max: int, n_max: int) -> tuple[bool, str]:
         p = QueueParams(lam=lam, mu=mu, m=m)
         gram = pairing_matrix(p, top + 1)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(top + 1)))))
-        spec = OperatorSpec("A", p, 70)
-        for n in (0, top // 2, top):
+        size = (m + 1) * (n_max + 2)
+        spec = OperatorSpec("A", p, size)
+        for n in (0, n_max // 2, n_max):
             worst = max(worst, basis_jump_check(spec, n))
-            worst = max(worst, dual_jump_check(p, n, 70))
-            for r in (0, top // 2, top):
-                pairing = biorthogonality_check(p, n, r, 70)
+            worst = max(worst, dual_jump_check(p, n, size))
+            for r in (0, n_max // 2, n_max):
+                pairing = biorthogonality_check(p, n, r, size)
                 worst = max(worst, abs(pairing - (1.0 if n == r else 0.0)))
         worst = max(worst, lambda_conjugation_residual(p))
     return worst <= SPECTRAL_VS_EXPM, f"max orthogonality residual {worst:.2e}"

@@ -141,8 +141,10 @@ def band_section(m: int, bands: tuple, N: int) -> np.ndarray:
     ``bands = (gamma, iota, eta, xi)`` puts -gamma on the first m diagonal
     entries and -xi after them, iota on the superdiagonal and eta m below
     the diagonal; the bands that stick out of the section are dropped.
-    Raises :class:`TruncationTooSmall` if ``N < m + 2``.
+    Raises ValueError naming N unless it is an integer >= 1, and
+    :class:`TruncationTooSmall` if ``N < m + 2``.
     """
+    require_int("N", N, 1)
     if N < m + 2:
         raise TruncationTooSmall(f"need N >= m + 2 = {m + 2}, got {N}")
     gamma, iota, eta, xi = bands

@@ -12,12 +12,14 @@ four values for each case:
 
 :func:`build_matrix` turns the bands into a dense section through
 :func:`~bulkq.model.band_section`, and the matching polynomial family comes
-from the same bands through :func:`~bulkq.polynomials.band_poly` (``A``
-through the exact ``q_poly``).  The module provides the basis-jump
-identities (each unit vector is the matching polynomial of the operator
-applied to the starting data) and moments.  These are the *operator-side*
-ground truth against which the spectral layer is validated; the dual and
-bi-orthogonality checks read ``A`` from :func:`~bulkq.model.build_generator`.
+from the same bands through :func:`~bulkq.polynomials.band_poly`.  The
+module provides the basis-jump identities (each unit vector is the matching
+polynomial of the operator applied to the starting data) and moments.  Each
+identity runs the family's recurrence on vectors
+(:meth:`~bulkq.polynomials.Poly.apply`,
+:meth:`~bulkq.polynomials.VectorPoly.apply`), so it tests the recurrence
+against the section.  These are the *operator-side* ground truth against
+which the spectral layer is validated.
 """
 
 from __future__ import annotations
@@ -83,22 +85,6 @@ def build_matrix(spec: OperatorSpec) -> np.ndarray:
     return band_section(spec.m, spec.bands(), spec.N)
 
 
-def _family_coeffs(spec: OperatorSpec, n: int) -> np.ndarray:
-    """Ascending coefficients of the degree-n family member matching ``kind``."""
-    if spec.kind == "A":
-        return np.asarray(q_poly(spec.params, n).coeffs)
-    return np.asarray(band_poly(spec.m, spec.bands(), n).coeffs)
-
-
-def _apply_poly(mat: np.ndarray, coeffs: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    out = coeffs[0] * v0
-    v = v0
-    for c in coeffs[1:]:
-        v = mat @ v
-        out = out + c * v
-    return out
-
-
 def basis_jump_check(spec: OperatorSpec, n: int) -> float:
     """sup-norm residual of ``family_n(M^T) e_0 = e_n``.
 
@@ -106,33 +92,23 @@ def basis_jump_check(spec: OperatorSpec, n: int) -> float:
     the compared entries.
     """
     require_int("n", n, 0)
+    mat = build_matrix(spec)
     if spec.N < (spec.m + 1) * (n + 2):
         raise TruncationTooSmall(
             f"basis jump at n={n} needs N >= {(spec.m + 1) * (n + 2)}, got {spec.N}"
         )
-    mat = build_matrix(spec).T
-    e0 = np.zeros(spec.N)
-    e0[0] = 1.0
-    w = _apply_poly(mat, _family_coeffs(spec, n), e0)
+    w = band_poly(spec.m, spec.bands(), n).apply(mat.T, np.eye(1, spec.N)[0])
     w[n] -= 1.0
     return float(np.max(np.abs(w)))
 
 
-def _dual_image(p: QueueParams, r: int, a: np.ndarray) -> np.ndarray:
-    """``sum_j q_{j,r}(a) e_j``, the dual vector of r applied to the unit vectors."""
-    out = np.zeros(len(a))
-    for j, comp in enumerate(dual_vector(p, r).components):
-        ej = np.zeros(len(a))
-        ej[j] = 1.0
-        out += _apply_poly(a, np.asarray(comp.coeffs), ej)
-    return out
-
-
 def dual_jump_check(p: QueueParams, r: int, N: int) -> float:
     """sup-norm residual of ``sum_j q_{j,r}(A) e_j = e_r``."""
+    a = build_generator(p, N)
+    require_int("r", r, 0)
     if N < (p.m + 1) * (r + 2):
         raise TruncationTooSmall(f"dual jump at r={r} needs N >= {(p.m + 1) * (r + 2)}")
-    acc = _dual_image(p, r, build_generator(p, N))
+    acc = dual_vector(p, r).apply(a)
     acc[r] -= 1.0
     return float(np.max(np.abs(acc)))
 
@@ -140,14 +116,13 @@ def dual_jump_check(p: QueueParams, r: int, N: int) -> float:
 def biorthogonality_check(p: QueueParams, n: int, r: int, N: int) -> float:
     """The pairing ``(sum_j q_{j,r}(A) e_j) . (Q_n(A^T) e_0)`` (should be
     the Kronecker delta of n and r)."""
+    a = build_generator(p, N)
+    require_int("n", n, 0)
+    require_int("r", r, 0)
     need = (p.m + 1) * (max(n, r) + 2)
     if N < need:
         raise TruncationTooSmall(f"bi-orthogonality at (n={n}, r={r}) needs N >= {need}")
-    a = build_generator(p, N)
-    e0 = np.zeros(N)
-    e0[0] = 1.0
-    right = _apply_poly(a.T, np.asarray(q_poly(p, n).coeffs), e0)
-    return float(_dual_image(p, r, a) @ right)
+    return float(dual_vector(p, r).apply(a) @ q_poly(p, n).apply(a.T, np.eye(1, N)[0]))
 
 
 def moment(spec: OperatorSpec, nu: int, j: int) -> float:
@@ -158,10 +133,10 @@ def moment(spec: OperatorSpec, nu: int, j: int) -> float:
     """
     require_int("nu", nu, 0)
     require_int("j", j, 1, spec.m)
+    mat = build_matrix(spec)
     need = (nu + 1) * (spec.m + 1) + spec.m
     if spec.N < need:
         raise TruncationTooSmall(f"moment nu={nu} needs N >= {need}, got {spec.N}")
-    mat = build_matrix(spec)
     v = np.zeros(spec.N)
     v[j - 1] = 1.0
     for _ in range(nu):

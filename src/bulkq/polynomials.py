@@ -9,8 +9,8 @@ Approx. 30, 2009), with band values ``(gamma, iota, eta, xi)``:
 
 :func:`band_poly` builds it.  The named families are its views:
 
-* ``Q_n``  — eigenvector polynomials of the queue generator, bands
-  ``(lam, lam, mu, lam + mu)``, with exact rational coefficients.
+* ``Q_n``  — eigenvector polynomials of the queue generator, with the
+  generator's own bands (:func:`~bulkq.model.generator_bands`).
 * ``T_n``  — the monic normalization, bands ``(0, 1, c, 0)``; the
   second-kind members ``T_{n,j}`` are its shifts ``T_{n-j}``, and the
   zeros of ``h_n``, where ``T_n(z) = z**(n mod (m+1)) h_n(z**(m+1))``,
@@ -22,12 +22,11 @@ The dual vectors ``q_r`` (``m`` components, the same band pattern read
 along rows instead of columns) keep their own recurrence,
 ``mu q_{r+m} = (x + s_r) q_r - lam q_{r-1}``.
 
-Two things come from each recurrence.  The coefficients, exact over
-Fractions for ``Q`` and ``q`` and rounded once to doubles, serve the
-operator identities and the Fraction-oracle tests.  Values at a point come
-from running the recurrence itself at that point in floats, which stays
-accurate where the monomial basis cancels heavily; no value comes from the
-coefficients.
+Each member is kept as its recurrence, run with the shifted product
+``(c + x) w`` as an argument: at a point that product is formed in floats,
+which stays accurate where the monomial basis cancels heavily, and on an
+operator M it is ``c w + M w``, so ``P(M) v`` comes from the same arithmetic
+as ``P(x)``.  No coefficient is formed anywhere.
 
 Closed forms for ``Q_n`` and ``q_{j,r}`` in terms of the algebraic branches
 are provided alongside the recurrences so each route can audit the other.
@@ -41,12 +40,9 @@ from typing import Callable
 
 import numpy as np
 
-# fractions costs resident memory the transition engine never needs; the
-# exact tables import it where they use it
-
 from .algebraic import AlgebraicConfig, solve_branches
 from .errors import NearSingularConfiguration, ZeroFindingFailure
-from .model import QueueParams, branch_config, require_int, validate_params
+from .model import QueueParams, branch_config, generator_bands, require_int, validate_params
 
 __all__ = [
     "Poly",
@@ -71,45 +67,49 @@ EPS_SING = 1e-8
 NEWTON_STEPS, NEWTON_TOL, COMPLEX_STEP = 8, 1e-13, 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Poly:
     """A real polynomial, a member of one of the recurrence families.
 
-    Coefficients are stored ascending (``coeffs[k]`` multiplies ``x**k``),
-    rounded to doubles, with no trailing zeros except for the zero
-    polynomial itself.  The member carries its recurrence as
-    ``recurrence(x)`` and is evaluated by running it at x; it takes no part
-    in equality.
+    The member is kept as its recurrence: ``recurrence(shifted, start)``
+    runs it from ``start``, the value of the constant 1, where
+    ``shifted(c, w)`` forms the shifted product ``(c + x) w``.  Calling the
+    member at x runs it on numbers; :meth:`apply` runs it on vectors.
     """
 
-    coeffs: tuple[float, ...]
-    recurrence: Callable = field(compare=False, repr=False)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    recurrence: Callable = field(repr=False)
 
     def __call__(self, x):
-        return self.recurrence(x)
+        """The value at x, in floats (complex for complex x), vectorised over x."""
+        x = np.asarray(x) + 0.0
+        return self.recurrence(lambda c, w: (c + x) * w, 0.0 * x + 1.0)
 
-    @staticmethod
-    def from_exact(c, recurrence: Callable) -> "Poly":
-        """Round coefficients (Fractions or floats) to doubles and trim trailing zeros."""
-        c = list(c)
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return Poly(coeffs=tuple(float(x) for x in c), recurrence=recurrence)
+    def apply(self, mat, v) -> np.ndarray:
+        """``P(mat) v``, with ``c w + mat @ w`` for the shifted product."""
+        return self.recurrence(lambda c, w: c * w + mat @ w, np.asarray(v) + 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorPoly:
-    """The m-component dual polynomial vector ``q_r = (q_{0,r},...,q_{m-1,r})``."""
+    """The m-component dual polynomial vector ``q_r = (q_{0,r},...,q_{m-1,r})``.
+
+    ``recurrence(shifted, window)`` runs the dual recurrence from the
+    window ``[q_{-1}, q_0, ..., q_{m-1}]``, as :class:`Poly`'s does.
+    """
 
     components: tuple[Poly, ...]
     r: int
+    recurrence: Callable = field(repr=False)
 
     def __call__(self, x):
         return np.array([c(x) for c in self.components])
+
+    def apply(self, mat) -> np.ndarray:
+        """``sum_j q_{j,r}(mat) e_j``: one run of the dual recurrence from the
+        unit vectors ``e_0, ..., e_{m-1}``, with ``q_{-1} = 0``."""
+        eye = np.eye(len(mat))
+        window = [0.0 * eye[0], *eye[: len(self.components)]]
+        return self.recurrence(lambda c, w: c * w + mat @ w, window)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,142 +140,63 @@ class ExplicitCoefficients:
 
 
 # --------------------------------------------------------------------------
-# values at a point: each member runs its own recurrence there, vectorised
-# over x, a scalar out for a scalar in
+# the recurrences, run with the shifted product ``shifted(c, w) = (c + x) w``
+# on numbers or on vectors
 # --------------------------------------------------------------------------
 
 
-def _run_band(m: int, bands: tuple, n: int, x):
-    """``P_n(x)`` by running the band recurrence at x, in floats (complex for complex x)."""
+def _run_band(m: int, bands: tuple, n: int, shifted: Callable, w):
+    """``P_n`` run from ``w = P_0``, by the band recurrence."""
     gamma, iota, eta, xi = bands
-    x = np.asarray(x) + 0.0
-    w = [((gamma + x) / iota) ** k for k in range(min(n, m) + 1)]
+    w = [w]
+    for _ in range(min(n, m)):
+        w.append(shifted(gamma, w[-1]) / iota)
     for _ in range(m, n):
-        w = w[1:] + [((xi + x) * w[-1] - eta * w[0]) / iota]
+        w = w[1:] + [(shifted(xi, w[-1]) - eta * w[0]) / iota]
     return w[-1]
 
 
-def _run_dual(p: QueueParams, j: int, r: int, x):
-    """``q_{j,r}(x)`` by running ``mu q_{k+m} = (x + s_k) q_k - lam q_{k-1}`` at x.
-
-    ``s_k`` is lam for k < m and lam + mu after; the window starts at
-    ``q_{-1} = 0`` and the unit initials ``q_k = [k == j]``, k < m.
-    """
+def _run_dual(p: QueueParams, r: int, shifted: Callable, w: list):
+    """``q_r`` run from ``w = [q_{-1}, q_0, ..., q_{m-1}]``, by
+    ``mu q_{k+m} = (x + s_k) q_k - lam q_{k-1}``; ``s_k`` is lam for k < m
+    and lam + mu after."""
     lam, mu, m = p.lam, p.mu, p.m
-    x = np.asarray(x) + 0.0
-    w = [0.0 * x] + [(k == j) + 0.0 * x for k in range(m)]
     for k in range(r - m + 1):
-        w = w[1:] + [((x + (lam if k < m else lam + mu)) * w[1] - lam * w[0]) / mu]
+        w = w[1:] + [(shifted(lam if k < m else lam + mu, w[1]) - lam * w[0]) / mu]
     return w[min(r + 1, m)]
 
 
-# --------------------------------------------------------------------------
-# coefficient tables (ascending powers), one per band or parameter set; each
-# grows to the largest index asked of it and serves every smaller one
-# --------------------------------------------------------------------------
-
-
-def _exact_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _exact_axpy(a, scale, b):
-    """a - scale*b with ragged lengths, over Fractions or floats."""
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return [x - scale * y for x, y in zip(a, b)]
-
-
-@functools.lru_cache(maxsize=64)
-def _band_table(m: int, bands: tuple) -> list[list]:
-    """The growing coefficient table of P_0, P_1, ... for the bands ``(gamma, iota, eta, xi)``.
-
-    :func:`band_poly` extends it in place, in the arithmetic of the band
-    values.  Over Fractions the coefficients are exact before their one
-    rounding to doubles, which is what the operator identities and the
-    Fraction-oracle tests read; no value at a point comes from them.
-    """
-    return [[1]]
+def _dual_component(recurrence: Callable, m: int, j: int, shifted: Callable, one):
+    """``q_{j,r}``: the dual run from the unit initials ``q_k = [k == j]``."""
+    zero = 0.0 * one
+    return recurrence(shifted, [zero] + [one if k == j else zero for k in range(m)])
 
 
 def band_poly(m: int, bands: tuple, n: int) -> Poly:
     """The degree-n member of the band recurrence with values ``(gamma, iota, eta, xi)``.
 
     ``P_n = ((gamma + x)/iota)**n`` for ``n <= m``, then
-    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``.  The coefficients come
-    from the cached table (exact for Fraction bands); the member is
-    evaluated by running the recurrence at the point, in floats.
+    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``, in floats.
     """
     require_int("n", n, 0)
-    gamma, iota, eta, xi = bands
-    table = _band_table(m, tuple(bands))
-    for k in range(len(table) - 1, n):
-        if k < m:
-            c = _exact_mul(table[k], [gamma, 1])
-        else:
-            c = _exact_axpy(_exact_mul(table[k], [xi, 1]), eta, table[k - m])
-        table.append([x / iota for x in c])
-    run = functools.partial(_run_band, m, tuple(float(b) for b in bands), n)
-    return Poly.from_exact(table[n], run)
-
-
-@functools.lru_cache(maxsize=64)
-def _dual_table(p: QueueParams) -> list[list[list]]:
-    """The growing table of the dual vectors' rows, exact; each row has m lists.
-
-    :func:`dual_vector` extends it in place.
-    """
-    from fractions import Fraction
-
-    return [[[Fraction(int(j == r))] for j in range(p.m)] for r in range(p.m)]
+    return Poly(functools.partial(_run_band, m, tuple(float(b) for b in bands), n))
 
 
 def q_poly(p: QueueParams, n: int) -> Poly:
-    """The degree-n member of the ``Q`` family, by recurrence.
+    """The degree-n member of the ``Q`` family, leading coefficient ``lam**(-n)``.
 
-    Parameters
-    ----------
-    p : QueueParams
-    n : int
-        Index, ``n >= 0``.
-
-    Returns
-    -------
-    Poly
-        Exact real coefficients; degree n, leading coefficient ``lam**(-n)``.
+    The band recurrence with the generator's bands ``(lam, lam, mu, lam + mu)``.
     """
-    from fractions import Fraction
-
-    validate_params(p)
-    lam, mu = Fraction(p.lam), Fraction(p.mu)
-    return band_poly(p.m, (lam, lam, mu, lam + mu), n)
+    return band_poly(p.m, generator_bands(p), n)
 
 
 def dual_vector(p: QueueParams, r: int) -> VectorPoly:
     """The dual vector ``q_r`` for ``r >= -1`` (the zero vector at -1)."""
-    from fractions import Fraction
-
     validate_params(p)
     require_int("r", r, -1)
-    lam, mu = Fraction(p.lam), Fraction(p.mu)
-    rows = _dual_table(p)
-    for k in range(len(rows) - p.m, r - p.m + 1):
-        before = rows[k - 1] if k >= 1 else [[0]] * p.m  # q_{-1} = 0
-        shift = [lam, 1] if k < p.m else [lam + mu, 1]
-        rows.append([
-            [x / mu for x in _exact_axpy(_exact_mul(prev, shift), lam, old)]
-            for prev, old in zip(rows[k], before)
-        ])
-    comps = tuple(
-        Poly.from_exact(c, functools.partial(_run_dual, p, j, r))
-        for j, c in enumerate(rows[r] if r >= 0 else [[0]] * p.m)  # q_{-1} = 0
-    )
-    return VectorPoly(components=comps, r=r)
+    recurrence = functools.partial(_run_dual, p, r)
+    comps = tuple(Poly(functools.partial(_dual_component, recurrence, p.m, j)) for j in range(p.m))
+    return VectorPoly(components=comps, r=r, recurrence=recurrence)
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +292,8 @@ def l_poly(p: QueueParams, n: int) -> Poly:
     """Shifted monic family: ``L_n(z) = lam**n * Q_n(z - lam - mu)``.
 
     Its own bands (initials ``(z - mu)**n``, then
-    ``z L_n = L_{n+1} + mu*lam**m L_{n-m}``) in floats, through the routine
-    that builds ``Q`` exactly.  The identity with ``q_poly`` stays a real
+    ``z L_n = L_{n+1} + mu*lam**m L_{n-m}``), through the routine that
+    runs ``Q``.  The identity with ``q_poly`` stays a real
     check: the tests hold independent Fraction oracles of both families.
     """
     validate_params(p)
@@ -384,7 +305,7 @@ def second_kind(cfg: AlgebraicConfig, n: int, j: int) -> Poly:
     require_int("j", j, 1, cfg.m)
     require_int("n", n, 0)
     if n < j:
-        return Poly.from_exact([0], functools.partial(np.multiply, 0.0))  # zeros shaped like x
+        return Poly(lambda shifted, one: 0.0 * one)
     return t_poly(cfg, n - j)
 
 

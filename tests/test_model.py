@@ -196,6 +196,7 @@ MALFORMED = {
     ),
     "scalar grid": ("grid must be", lambda: cross_validate(P, 5)),
     **{f"c={v!r}": ("c", lambda v=v: AlgebraicConfig(c=v, m=1)) for v in BAD_TIMES + [0, 0.0]},
+    **{f"N={v!r}": ("N", lambda v=v: build_generator(P, v)) for v in [12.0, "12", None, True]},
 }
 
 

@@ -78,6 +78,18 @@ def test_biorthogonality_examples():
     assert biorthogonality_check(QueueParams(1.0, 3.0, 3), 7, 7, 48) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_operator_identities_hold_at_high_degree(m):
+    # the recurrence run on vectors keeps the identities where a monomial
+    # expansion of Q_n or q_r would cancel to 1e9 or worse
+    p = QueueParams(1.0, 2.0, m)
+    for n in (30, 40):
+        N = (m + 1) * (n + 2)
+        assert basis_jump_check(OperatorSpec("A", p, N), n) <= 1e-8
+        assert dual_jump_check(p, n, N) <= 1e-8
+        assert abs(biorthogonality_check(p, n, n, N) - 1.0) <= 1e-8
+
+
 def test_biorthogonality_sweep():
     p = QueueParams(1.4, 0.6, 2)
     for n in range(7):
@@ -135,14 +147,20 @@ def test_resolvent_shift_between_generator_and_l_frame():
             assert abs(fa - p.lam ** (j - 1) * fl) <= 1e-9
 
 
-@pytest.mark.parametrize("k", [2.0, 2.5])
+@pytest.mark.parametrize("k", [2.0, 2.5, -1])
 def test_operator_indices_must_be_integers(k):
-    spec = OperatorSpec("A", QueueParams(1.2, 0.8, 3), 96)
+    # a float is no index, and neither is -1: the dual vector there is zero,
+    # and an index of -1 would read the last entry of the section
+    p = QueueParams(1.2, 0.8, 3)
+    spec = OperatorSpec("A", p, 96)
     calls = [
         ("j", lambda: moment(spec, 2, k - 1)),
         ("nu", lambda: moment(spec, k, 1)),
         ("j", lambda: resolvent(spec, k - 1, 1 + 1j)),
         ("n", lambda: basis_jump_check(spec, k)),
+        ("r", lambda: dual_jump_check(p, k, 96)),
+        ("n", lambda: biorthogonality_check(p, k, 1, 96)),
+        ("r", lambda: biorthogonality_check(p, 1, k, 96)),
     ]
     for label, call in calls:
         with pytest.raises(ValueError, match=f"{label} must be an integer"):

@@ -3,13 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.polynomial import Polynomial
 
 from bulkq.algebraic import AlgebraicConfig, star_geometry
 from bulkq.errors import NearSingularConfiguration, ZeroFindingFailure
 from bulkq.model import QueueParams
 from bulkq.operators import OperatorSpec
-from bulkq import polynomials
 from bulkq.polynomials import (
     band_poly,
     dual_explicit,
@@ -76,44 +74,6 @@ def _fsub(a, b):
 # ---------------------------------------------------------------- Q family
 
 
-def test_q_initial_members():
-    p = QueueParams(2.0, 1.0, 2)
-    assert q_poly(p, 0).coeffs == (1.0,)
-    assert q_poly(p, 1).coeffs == (1.0, 0.5)
-
-
-def test_q2_golden():
-    assert q_poly(QueueParams(1.0, 1.0, 1), 2).coeffs == (1.0, 3.0, 1.0)
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_q_matches_fraction_oracle(m):
-    p = QueueParams(1.0, 1.0, m)
-    oracle = q_table_fractions(1, 1, m, 12)
-    for n in range(13):
-        got = q_poly(p, n).coeffs
-        assert len(got) == n + 1
-        assert all(float(a) == b for a, b in zip(oracle[n], got))
-
-
-def test_exact_tables_grow_once_per_family():
-    # one table per family grows to the largest index asked and serves the
-    # smaller ones with the coefficients of a build in ascending order
-    p = QueueParams(1.2, 0.8, 3)
-    tables = (polynomials._band_table, polynomials._dual_table)
-
-    def build(order):
-        for table in tables:
-            table.cache_clear()
-        out = {n: (q_poly(p, n), dual_vector(p, n)) for n in order}
-        assert [table.cache_info().currsize for table in tables] == [1, 1]
-        return out
-
-    full = build(range(21))
-    assert build(range(20, -1, -1)) == full
-    assert all(full[n] == got for n, got in build([7, 20, 0, 13]).items())
-
-
 def _exact_value(coeffs, z):
     """Ascending Fraction coefficients at z, in exact rational complex arithmetic."""
     zr, zi = Fraction(z.real), Fraction(z.imag)
@@ -121,6 +81,40 @@ def _exact_value(coeffs, z):
     for c in reversed(coeffs):
         re, im = re * zr - im * zi + c, re * zi + im * zr
     return complex(float(re), float(im))
+
+
+def assert_matches_oracle(poly, exact, n, rtol=0.0):
+    """``poly`` against the exact coefficients at the n + 1 integer points
+    -n//2 .., which pins a polynomial of degree at most n.  Each value must
+    lie within ``rtol * sum |c_k| |x|**k`` of the exact one, the bound that
+    coefficients within rtol give; ``rtol = 0`` asks for the same double."""
+    for x in range(-(n // 2), n - n // 2 + 1):
+        ref = _exact_value(exact, complex(x))
+        scale = _exact_value([abs(c) for c in exact], complex(abs(x))).real
+        assert abs(poly(float(x)) - ref) <= rtol * scale, (n, x)
+
+
+def test_q_initial_members():
+    p = QueueParams(2.0, 1.0, 2)
+    for x in (-1.0, 0.0, 3.0):
+        assert q_poly(p, 0)(x) == 1.0
+        assert q_poly(p, 1)(x) == 1.0 + 0.5 * x
+
+
+def test_q2_golden():
+    for x in (-2.0, 0.0, 1.0, 5.0):
+        assert q_poly(QueueParams(1.0, 1.0, 1), 2)(x) == 1.0 + 3.0 * x + x * x
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_q_matches_fraction_oracle(m):
+    # integer points and integer bands: every value is an integer below
+    # 2**53, so the recurrence must give the exact one
+    p = QueueParams(1.0, 1.0, m)
+    oracle = q_table_fractions(1, 1, m, 12)
+    for n in range(13):
+        assert len(oracle[n]) == n + 1
+        assert_matches_oracle(q_poly(p, n), oracle[n], n)
 
 
 @pytest.mark.parametrize(
@@ -163,11 +157,14 @@ def test_polynomial_indices_must_be_integers(k):
 
 
 def test_q_degree_and_leading_coefficient():
-    p = QueueParams(1.7, 0.6, 2)
+    # degree at most n from the oracle's values, leading term lam**(-n) x**n
+    # from a point where every lower term is 1e-20 of it
+    p, x = QueueParams(1.7, 0.6, 2), 1e20
+    oracle = q_table_fractions(p.lam, p.mu, p.m, 11)
     for n in range(12):
         poly = q_poly(p, n)
-        assert poly.degree == n
-        np.testing.assert_allclose(poly.coeffs[-1], p.lam ** (-n), rtol=1e-12)
+        assert_matches_oracle(poly, oracle[n], n, rtol=1e-12)
+        np.testing.assert_allclose(poly(x) / x**n, p.lam ** (-n), rtol=1e-12)
 
 
 def test_q_explicit_golden_values():
@@ -260,10 +257,10 @@ def test_dual_expansion_top_branch_column_decays():
 
 def test_dual_initial_rows():
     p = QueueParams(1.0, 1.0, 2)
-    v = dual_vector(p, 1)
-    assert [c.coeffs for c in v.components] == [(0.0,), (1.0,)]
+    x = np.array([-1.0, 0.5, 3.0])
+    assert np.array_equal(dual_vector(p, 1)(x), [np.zeros(3), np.ones(3)])
     zero = dual_vector(p, -1)
-    assert all(c.coeffs == (0.0,) for c in zero.components)
+    assert np.array_equal(zero(x), np.zeros((2, 3)))
     x = np.array([0.5, 2 + 1j])
     assert np.array_equal(zero(x), np.zeros((2, 2), dtype=complex))
 
@@ -271,30 +268,29 @@ def test_dual_initial_rows():
 def test_dual_first_recurrence_row():
     p = QueueParams(2.0, 0.5, 2)
     v = dual_vector(p, 3)
-    np.testing.assert_allclose(v.components[0].coeffs, [-p.lam / p.mu])
-    np.testing.assert_allclose(v.components[1].coeffs, [p.lam / p.mu, 1.0 / p.mu])
+    x = np.array([-1.0, 0.0, 2.5])
+    np.testing.assert_allclose(v.components[0](x), -p.lam / p.mu)
+    np.testing.assert_allclose(v.components[1](x), p.lam / p.mu + x / p.mu)
 
 
 def test_dual_m1_self_duality():
     # for m = 1 the single dual component reproduces the Q family
     p = QueueParams(1.0, 1.0, 1)
-    got = dual_vector(p, 2).components[0].coeffs
-    assert got == (1.0, 3.0, 1.0)
+    for x in (-2.0, 0.0, 1.0, 5.0):
+        got = dual_vector(p, 2).components[0](x)
+        assert got == 1.0 + 3.0 * x + x * x == q_poly(p, 2)(x)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_dual_matches_fraction_oracle(m):
+    # integer points and integer rates: exact values, as for Q; q_{j,r} has
+    # degree below r + 1
     p = QueueParams(1.0, 1.0, m)
     oracle = dual_table_fractions(1, 1, m, 12)
     for r in range(13):
         row = dual_vector(p, r)
         for j in range(m):
-            got = np.asarray(row.components[j].coeffs)
-            want = np.array([float(x) for x in oracle[r][j]])
-            want = np.trim_zeros(want, "b")
-            if want.size == 0:
-                want = np.zeros(1)
-            np.testing.assert_array_equal(got, want)
+            assert_matches_oracle(row.components[j], oracle[r][j], r)
 
 
 def test_dual_explicit_examples():
@@ -330,15 +326,15 @@ def test_dual_explicit_matches_recurrence():
 
 
 def test_t_initials_and_golden():
-    assert t_poly(AlgebraicConfig(c=1.0, m=2), 1).coeffs == (0.0, 1.0)
-    assert t_poly(AlgebraicConfig(c=1.0, m=1), 3).coeffs == (0.0, -2.0, 0.0, 1.0)
+    for x in (-2.0, 0.0, 1.0, 3.0):
+        assert t_poly(AlgebraicConfig(c=1.0, m=2), 1)(x) == x
+        assert t_poly(AlgebraicConfig(c=1.0, m=1), 3)(x) == x**3 - 2.0 * x
 
 
 def test_l_golden_and_shift_identity_m1():
     p = QueueParams(1.0, 1.0, 1)
-    assert l_poly(p, 2).coeffs == (-1.0, -1.0, 1.0)
-    shifted = Polynomial(q_poly(p, 2).coeffs)(Polynomial([-2.0, 1.0]))
-    np.testing.assert_allclose(l_poly(p, 2).coeffs, shifted.coef, atol=1e-12)
+    for x in (-2.0, 0.0, 1.0, 3.0):
+        assert l_poly(p, 2)(x) == x * x - x - 1.0 == q_poly(p, 2)(x - 2.0)
 
 
 def l_table_fractions(lam, mu, m, nmax):
@@ -378,10 +374,7 @@ def test_l_matches_fraction_oracle(lam, mu, m):
     p = QueueParams(lam, mu, m)
     table = l_table_fractions(lam, mu, m, 10)
     for n in range(11):
-        exact = np.array([float(x) for x in table[n]])
-        got = np.asarray(l_poly(p, n).coeffs)
-        scale = np.max(np.abs(exact))
-        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12 * scale)
+        assert_matches_oracle(l_poly(p, n), table[n], n, rtol=1e-12)
 
 
 def band_table_fractions(m, bands, nmax):
@@ -399,13 +392,13 @@ def band_table_fractions(m, bands, nmax):
 
 @pytest.mark.parametrize("lam,mu,m", [(1.3, 0.7, 2), (0.4194807697969937, 0.09708687480463145, 6)])
 def test_band_oracle_is_q_bitwise(lam, mu, m):
-    # Q's bands (lam, lam, mu, lam + mu), the sum formed exactly
+    # Q's bands (lam, lam, mu, lam + mu), the sum formed exactly: the band
+    # oracle is the Q oracle, and q_poly runs it
     lam_f, mu_f = Fraction(lam), Fraction(mu)
     table = band_table_fractions(m, (lam_f, lam_f, mu_f, lam_f + mu_f), 24)
+    assert table == q_table_fractions(lam, mu, m, 24)
     for n in range(25):
-        got = q_poly(QueueParams(lam, mu, m), n)
-        hi = tuple(float(x) for x in table[n])
-        assert got.coeffs == hi
+        assert_matches_oracle(q_poly(QueueParams(lam, mu, m), n), table[n], n, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -423,18 +416,16 @@ def test_band_oracle_is_q_bitwise(lam, mu, m):
 def test_band_poly_matches_fraction_oracle(spec):
     table = band_table_fractions(spec.m, spec.bands(), 24)
     for n in range(25):
-        exact = np.array([float(x) for x in table[n]])
-        got = np.asarray(band_poly(spec.m, spec.bands(), n).coeffs)
-        scale = np.max(np.abs(exact))
-        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=1e-12 * scale)
+        assert_matches_oracle(band_poly(spec.m, spec.bands(), n), table[n], n, rtol=1e-12)
 
 
 def test_second_kind_shift():
     cfg = AlgebraicConfig(c=1.0, m=2)
-    assert second_kind(cfg, 0, 1).coeffs == (0.0,)
+    x = np.array([-1.5, 0.0, 2.0, 3.5 + 1j])
+    assert np.array_equal(second_kind(cfg, 0, 1)(x), np.zeros(4))
     assert np.array_equal(second_kind(cfg, 1, 2)(np.arange(3.0)), np.zeros(3))
-    assert second_kind(cfg, 2, 2).coeffs == (1.0,)
-    assert second_kind(cfg, 5, 2).coeffs == t_poly(cfg, 3).coeffs
+    assert np.array_equal(second_kind(cfg, 2, 2)(x), np.ones(4))
+    assert np.array_equal(second_kind(cfg, 5, 2)(x), t_poly(cfg, 3)(x))
 
 
 # ----------------------------------------------------------------- h family
@@ -501,12 +492,13 @@ def test_h_zeros_past_reach_raise_or_bracket():
 def test_h_zero_reality_positivity_interlacing(m):
     cfg = AlgebraicConfig(c=1.0, m=m)
     a_pow = star_geometry(cfg).arm_length ** (m + 1)
+    t_table = band_table_fractions(m, (0, 1, 1, 0), 40)
     prev = None
     for n in range(m + 1, 41):
         zs = h_zeros(cfg, n)
         assert len(zs) == n // (m + 1)
         assert np.all(zs > 0.0)
-        assert t_poly(cfg, n).coeffs[n % (m + 1)] != 0.0  # h_n(0), so no zero at 0
+        assert t_table[n][n % (m + 1)] != 0  # h_n(0), so no zero at 0
         if len(zs) > 1:
             assert np.min(np.diff(zs)) > 1e-8 * a_pow
         if prev is not None and len(prev) > 0:

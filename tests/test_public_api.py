@@ -113,7 +113,22 @@ def test_import_leaves_scipy_unloaded():
 
 def test_import_leaves_fractions_and_numpy_polynomial_unloaded():
     # together about 1.2 MB of resident memory that the transition engine
-    # never needs; the exact tables import fractions, and no module numpy.polynomial
+    # never needs: no module of the package imports either, and the package
+    # import loads neither
+    found = []
+    for path in sorted(Path(bulkq.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} imports {n}" for n in names
+                if n == "fractions" or n.startswith("numpy.polynomial")
+            ]
+    assert found == []
     paths = [str(Path(bulkq.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     code = (
