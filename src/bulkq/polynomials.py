@@ -35,6 +35,7 @@ are provided alongside the recurrences so each route can audit the other.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -176,10 +177,15 @@ def band_poly(m: int, bands: tuple, n: int) -> Poly:
     """The degree-n member of the band recurrence with values ``(gamma, iota, eta, xi)``.
 
     ``P_n = ((gamma + x)/iota)**n`` for ``n <= m``, then
-    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``, in floats.
+    ``iota P_{n+1} = (xi + x) P_n - eta P_{n-m}``, in floats.  m must be an
+    integer >= 1 and iota finite and nonzero, or ValueError names the one that is not.
     """
+    require_int("m", m, 1)
     require_int("n", n, 0)
-    return Poly(functools.partial(_run_band, m, tuple(float(b) for b in bands), n))
+    bands = tuple(float(b) for b in bands)
+    if not (math.isfinite(bands[1]) and bands[1] != 0.0):
+        raise ValueError(f"iota must be finite and nonzero, got {bands[1]}")
+    return Poly(functools.partial(_run_band, m, bands, n))
 
 
 def q_poly(p: QueueParams, n: int) -> Poly:

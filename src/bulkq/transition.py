@@ -2,7 +2,7 @@
 
 P_{n,r}(t) inverts the Laplace transform of the resolvent entry on Talbot's
 contour (Weideman & Trefethen, Math. Comp. 76, 2007).  One banded solve per
-node gives a whole resolvent row, whose tail past the requested states is
+node gives a resolvent row down to its start; past the start the row is
 exactly a power of the dominant branch; point queries, row sums and the
 chain rule share that evaluator.  Each accepted input gets a value within
 1e-6 of uniformization or a typed ``BulkqError``.  Values are tested at
@@ -210,9 +210,12 @@ def _resolvent_rows(
 ) -> np.ndarray:
     """Entries 0..J-1 of the resolvent rows ``n in starts`` at every node.
 
-    Solves ``(s - A)^T y = e_n``.  Beyond J-1 the row is exactly
-    ``y_{J-1} omega**-(r-J+1)``, which folds into column J-1 and leaves a
-    band with one diagonal below and m above, eliminated without pivoting.
+    Solves ``(s - A)^T y = e_n``.  Past its start the row solves the
+    homogeneous recurrence, whose only decaying solution is a power of the
+    dominant root: row r > J-1 is exactly ``y_{J-1} omega**-(r-J+1)``.  That
+    folds into column J-1 and leaves a band with one diagonal below and m
+    above, eliminated without pivoting; the forward sweep of y starts at the
+    lowest start, since rows below it are zero until the back-substitution.
     Needs ``m <= J`` and starts below J; the shape is (J, starts, nodes).
     """
     lam, mu, m = p.lam, p.mu, p.m
@@ -224,14 +227,16 @@ def _resolvent_rows(
         band[r, J - 1 - r] -= mu * (1.0 / omega) ** (r + m - J + 1)
     y = np.zeros((J, len(starts), s.size), dtype=complex)
     y[starts, np.arange(len(starts))] = 1.0
+    lo = int(np.min(starts))
     for k in range(J - 1):
         f = lam / band[k, 0]
         band[k + 1, :m] += f * band[k, 1:]
-        y[k + 1] += f * y[k]
+        if k >= lo:
+            y[k + 1] += f * y[k]
     for k in range(J - 1, -1, -1):
         top = min(m, J - 1 - k)
         if top:
-            y[k] -= np.sum(band[k, 1 : top + 1, None] * y[k + 1 : k + top + 1], axis=0)
+            y[k] -= np.einsum("dn,dsn->sn", band[k, 1 : top + 1], y[k + 1 : k + top + 1])
         y[k] /= band[k, 0]
     return y
 
@@ -239,12 +244,14 @@ def _resolvent_rows(
 def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndarray, np.ndarray]:
     """P_{n,r}(t) and error estimates for n in ``starts``, r <= rmax, each time.
 
-    Arrays of shape (len(starts), rmax + 1, len(times)).  Time zero is exact,
-    P(0) = I.  Below ``_T_MIN`` the contour overflows, so there the value is
-    I with error estimate (lam + mu) t, the most probability that can leave
-    a state by time t, if that is within ``TRANS_TOL``.  Otherwise the value
-    is the ``NODES``-node integral of the resolvent row and the error its
-    gap to the ``NODES_CHECK``-node one, which must stay within
+    Arrays of shape (len(starts), rmax + 1, len(times)).  The banded solve
+    stops at row max(max start, m - 1); rows past it, up to rmax, are that
+    row times powers of ``1/omega``, omega the dominant root.  Time zero is
+    exact, P(0) = I.  Below ``_T_MIN`` the contour overflows, so there the
+    value is I with error estimate (lam + mu) t, the most probability that
+    can leave a state by time t, if that is within ``TRANS_TOL``.  Otherwise
+    the value is the ``NODES``-node integral of the resolvent row and the
+    error its gap to the ``NODES_CHECK``-node one, which must stay within
     ``TRANS_TOL`` (relative, floored at scale 1), or
     ``QuadratureNotConverged`` is raised, as it is when :func:`_guard` is.
     """
@@ -259,8 +266,10 @@ def _transition_block(p: QueueParams, starts, rmax: int, times) -> tuple[np.ndar
     live = np.flatnonzero((times > 0.0) & ~tiny)
     if live.size:
         s, weights, omega = _nodes(p, tuple(times[live].tolist()))
-        J = max(int(starts.max()) + 1, rmax + 1, p.m)
-        y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())[: rmax + 1]
+        J = max(int(starts.max()) + 1, p.m)
+        y = _resolvent_rows(p, starts, J, s.ravel(), omega.ravel())
+        k = np.arange(1, rmax + 2 - J)[:, None, None]  # empty unless rmax >= J
+        y = np.concatenate([y, y[-1] * (1.0 / omega.ravel()) ** k])[: rmax + 1]
         y = y.reshape(y.shape[:2] + s.shape)
         est = [np.einsum("rakn,kn->ark", y[..., q], weights[:, q]).imag for q in _RULES]
         gap = np.abs(est[0] - est[1])
@@ -283,10 +292,12 @@ def transition_block(p: QueueParams, queries) -> tuple[TransitionResult, ...]:
     """Evaluate many queries by the spectral formula in one block solve.
 
     Returns one result per :class:`TransitionQuery`, in the order given.
-    One banded solve per node covers the distinct starts, every r up to
-    the largest one queried, and the union of the times.  A time of zero
-    is answered exactly, P(0) = I, and a time below 1e-290 by P(t) = I
-    with error estimate (lam + mu) t while that is within ``TRANS_TOL``.
+    One banded solve per node covers the distinct starts and the union of
+    the times.  It stops at the largest start (or at row m - 1); every r
+    past it, up to the largest one queried, is that row times a power of
+    the dominant root.  A time of zero is answered exactly, P(0) = I, and a
+    time below 1e-290 by P(t) = I with error estimate (lam + mu) t while
+    that is within ``TRANS_TOL``.
     The rest integrate resolvent rows on Talbot's contour; the gap between
     the 48- and 64-node rules is the error estimate and must stay within
     ``TRANS_TOL`` = 1e-9 (relative, floored at scale 1).

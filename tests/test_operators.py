@@ -59,6 +59,13 @@ def test_basis_jump_generic_h():
     assert basis_jump_check(spec, 6) <= 1e-9
 
 
+def test_basis_jump_refuses_zero_iota():
+    # once returned nan with a RuntimeWarning
+    spec = OperatorSpec("H", QueueParams(1, 1, 2), 40, iota=0.0)
+    with pytest.raises(ValueError, match="iota must be finite and nonzero"):
+        basis_jump_check(spec, 3)
+
+
 def test_basis_jump_truncation_guard():
     spec = OperatorSpec("T", AlgebraicConfig(c=1.0, m=2), 10)
     with pytest.raises(TruncationTooSmall):

@@ -156,6 +156,25 @@ def test_polynomial_indices_must_be_integers(k):
             call()
 
 
+@pytest.mark.parametrize(
+    "m, iota, match",
+    [
+        (0, 1.0, "m must be an integer >= 1"),
+        (-1, 1.0, "m must be an integer >= 1"),
+        (True, 1.0, "m must be an integer >= 1"),
+        (2.0, 1.0, "m must be an integer >= 1"),
+        (2, 0.0, "iota must be finite and nonzero"),
+        (2, np.inf, "iota must be finite and nonzero"),
+        (2, np.nan, "iota must be finite and nonzero"),
+    ],
+)
+def test_band_poly_refuses_bad_batch_size_and_iota(m, iota, match):
+    # m = 0 and m = -1 once returned values, m = True ran as m = 1, m = 2.0
+    # raised a bare TypeError, and iota = 0 divided by zero
+    with pytest.raises(ValueError, match=match):
+        band_poly(m, (1.0, iota, 0.5, 2.0), 4)(1.5)
+
+
 def test_q_degree_and_leading_coefficient():
     # degree at most n from the oracle's values, leading term lam**(-n) x**n
     # from a point where every lower term is 1e-20 of it

@@ -293,6 +293,39 @@ def test_cold_query_solves_every_node_in_one_batch(lam, mu, m, monkeypatch):
     assert not companion
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 6, 12])
+def test_short_solve_with_omega_tail_matches_the_full_solve(m):
+    # past its start a resolvent row is y_n omega^-(r-n): solving rows 0..n and
+    # taking powers of omega gives the values of the solve down to r = 64.  The
+    # two differ by rounding, below the contraction's own eps * sum|w_k y_k|
+    p = QueueParams(1.0, 1.0 / (0.75 * m), m)
+    times = (1.0, 5.0)
+    s, w, omega = transition._nodes(p, times)
+    rule = transition._RULES[0]
+    for starts in ([0], [m - 1], [32], [64], [0, m - 1, 32]):
+        starts = sorted(set(starts))
+        y = transition._resolvent_rows(p, np.array(starts), 65, s.ravel(), omega.ravel())
+        y = y.reshape(y.shape[:2] + s.shape)
+        full = np.einsum("rakn,kn->ark", y[..., rule], w[:, rule]).imag
+        short, _ = transition._transition_block(p, starts, 64, times)
+        assert np.all(np.abs(short - full) <= 1e-13 * np.maximum(1.0, np.abs(full))), starts
+
+
+@pytest.mark.parametrize("n, r, rows", [(0, 64, 3), (64, 0, 65)])
+def test_block_solves_rows_only_up_to_the_start(n, r, rows, monkeypatch):
+    # the banded solve stops at max(n + 1, m); rows past the start are powers of omega
+    solved = []
+    real = transition._resolvent_rows
+
+    def recorded(p, starts, J, s, omega):
+        solved.append(J)
+        return real(p, starts, J, s, omega)
+
+    monkeypatch.setattr(transition, "_resolvent_rows", recorded)
+    transition_spectral(QueueParams(1.0, 0.5, 3), TransitionQuery(n, r, (1.0,)))
+    assert solved == [rows]
+
+
 def test_block_guard_names_the_first_escaping_time():
     # one pass over every time refuses the query as the single escaping time would
     p = QueueParams(1.0, 1.0 / 12, 12)
